@@ -453,10 +453,7 @@ def _selftest_checks():
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    from . import kernels
-
     failures = 0
-    print(f"backend: {kernels.active_backend()}")
     for name, check in _selftest_checks():
         try:
             check()

@@ -155,27 +155,8 @@ def feasible_a2_range(germ: Germ, n: int) -> tuple[float, float]:
     """
     n = _check_size_int(n)
     _require_feasible(germ, n)
-    ks = np.arange(1, n, dtype=np.int64)
-    _, _, a2, ok = kernels.two_block_sweep(
-        ks, float(n), germ.t_star, germ.a0, germ.a1, _NEWTON_TOL
-    )
-    reachable = _slope_reachable(germ, n, ks)
-    failed = int(np.count_nonzero(reachable & ~ok))
-    if failed:
-        warnings.warn(
-            f"{failed} two-value split(s) skipped: Newton did not converge",
-            stacklevel=2,
-        )
-    if not ok.any():
-        raise NumericError(
-            f"no two-value split converged for germ={germ.coeffs}, n={n}"
-        )
-    values = a2[ok]
-    low = float(values.min())
-    high = float(values.max())
-    if low < -1e-10:
-        raise NumericError(f"negative curvature {low} from a converged split")
-    return max(low, 0.0), high
+    _, _, _, a2 = _sweep(germ, n)
+    return max(float(a2.min()), 0.0), float(a2.max())
 
 
 def fit_level2(germ: Germ, n: int) -> FitResult:
@@ -193,19 +174,9 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
         raise DomainError("fit_level2 needs a three-coefficient target")
     _require_feasible(germ, n)
     target = germ.a2
-    ks = np.arange(1, n, dtype=np.int64)
-    za_arr, zb_arr, a2_arr, ok = kernels.two_block_sweep(
-        ks, float(n), germ.t_star, germ.a0, germ.a1, _NEWTON_TOL
-    )
-    if not ok.any():
-        raise NumericError(f"no two-value split converged for germ={germ.coeffs}, n={n}")
-    feasible = [
-        (int(ks[i]), float(za_arr[i]), float(zb_arr[i]), float(a2_arr[i]))
-        for i in range(len(ks))
-        if bool(ok[i])
-    ]
-    a2_values = [item[3] for item in feasible]
-    low, high = min(a2_values), max(a2_values)
+    ks, za_arr, zb_arr, a2_arr = _sweep(germ, n)
+    feasible = list(zip(ks.tolist(), za_arr.tolist(), zb_arr.tolist(), a2_arr.tolist()))
+    low, high = float(a2_arr.min()), float(a2_arr.max())
     bounds = (max(low, 0.0), high)
     slack = 1e-12 * max(1.0, abs(high))
     if not (low - slack <= target <= high + slack):
@@ -254,6 +225,36 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
             f"curvature homotopy did not reach target {target} for n={n}"
         )
     return _finish_fit(germ, z_final, feasible_a2=bounds)
+
+
+def _sweep(germ: Germ, n: int):
+    """Solve every ordered split ``(k, n-k)`` and keep the converged ones.
+
+    Returns ``(ks, z_low, z_high, curvature)`` arrays of the converged
+    splits.  Splits that could match the slope target but whose solver
+    failed are skipped with a warning; no converged split, or a negative
+    curvature from one, is an error.
+    """
+    ks = np.arange(1, n, dtype=np.int64)
+    za, zb, a2, ok = kernels.two_block_sweep(
+        ks, float(n), germ.t_star, germ.a0, germ.a1, _NEWTON_TOL
+    )
+    failed = int(np.count_nonzero(_slope_reachable(germ, n, ks) & ~ok))
+    if failed:
+        # Level 3 is the user's call of feasible_a2_range or fit_level2.
+        warnings.warn(
+            f"{failed} two-value split(s) skipped: Newton did not converge",
+            stacklevel=3,
+        )
+    if not ok.any():
+        raise NumericError(
+            f"no two-value split converged for germ={germ.coeffs}, n={n}"
+        )
+    ks, za, zb, a2 = ks[ok], za[ok], zb[ok], a2[ok]
+    low = float(a2.min())
+    if low < -1e-10:
+        raise NumericError(f"negative curvature {low} from a converged split")
+    return ks, za, zb, a2
 
 
 def _bracketing_pair(feasible, target):

@@ -1,72 +1,20 @@
-"""Hot numeric kernels with optional JIT acceleration.
+"""Hot numeric kernels.
 
 Two kernels dominate runtime: the word-graph transfer-matrix power
 iteration behind spectral pressure values, and the two-value-slice sweep
-behind curvature-range scans.  Each has a pure-numpy implementation and,
-when numba is importable, a JIT-compiled twin with identical semantics.
-
-The active backend is chosen at import time from the environment variable
-``THERMOFORGE_KERNELS`` (``"numba"`` or ``"numpy"``); unset, it defaults
-to numba when available.  ``benchmarks/bench_kernels.py`` times the two
-implementations against each other.
+behind curvature-range scans.  Each has exactly one implementation, in
+numpy; there is no backend selection.  ``perfbench/run.py`` measures
+them end to end and per layer.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
-    "active_backend",
-    "backends",
     "debruijn_power",
     "two_block_sweep",
-    "warmup",
 ]
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        raise RuntimeError("numba is not available")
-
-
-def _pick_backend() -> str:
-    requested = os.environ.get("THERMOFORGE_KERNELS", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        warnings.warn(
-            f"THERMOFORGE_KERNELS={requested!r} not recognized; "
-            "expected 'numba' or 'numpy'",
-            stacklevel=2,
-        )
-        requested = ""
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba" and not HAVE_NUMBA:
-        warnings.warn(
-            "THERMOFORGE_KERNELS=numba requested but numba is not importable; "
-            "falling back to numpy",
-            stacklevel=2,
-        )
-        return "numpy"
-    if requested == "numba":
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _pick_backend()
-
-
-def active_backend() -> str:
-    """Name of the backend serving the dispatched kernels."""
-    return _BACKEND
 
 
 # ---------------------------------------------------------------------------
@@ -82,47 +30,33 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _debruijn_power_numpy(
-    weights: np.ndarray, n: int, tail: int, tol: float, max_iter: int, sigma: float
-):
+def debruijn_power(
+    weights: np.ndarray,
+    n: int,
+    tail: int,
+    tol: float = 1e-13,
+    max_iter: int = 100_000,
+    sigma: float = 0.0,
+) -> tuple[float, int, bool]:
+    """Leading eigenvalue of the word-graph transfer matrix plus ``sigma*I``.
+
+    ``weights`` holds one non-negative weight per length-``w`` word in
+    base-``n`` order; ``tail`` is ``n**(w-2)`` (1 for ``w = 2``).  Returns
+    ``(eigenvalue, iterations, converged)``.
+    """
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    n, tail, tol, max_iter = int(n), int(tail), float(tol), int(max_iter)
+    sigma = float(sigma)
     n_states = weights.shape[0] // n
     table = weights.reshape(n_states, n)
     idx = (np.arange(n_states) % tail)[:, None] * n + np.arange(n)[None, :]
     x = np.full(n_states, 1.0 / n_states)
     lam = 0.0
-    for it in range(int(max_iter)):
+    for it in range(max_iter):
         y = (table * x[idx]).sum(axis=1) + sigma * x
         lam = y.sum()
         residual = np.abs(y - lam * x).sum()
         x = y / lam
-        if residual <= tol * lam:
-            return lam, it + 1, True
-    return lam, int(max_iter), False
-
-
-def _debruijn_power_loops(
-    weights: np.ndarray, n: int, tail: int, tol: float, max_iter: int, sigma: float
-):
-    n_states = weights.shape[0] // n
-    x = np.full(n_states, 1.0 / n_states)
-    y = np.empty(n_states)
-    lam = 0.0
-    for it in range(max_iter):
-        for u in range(n_states):
-            base = (u % tail) * n
-            row = u * n
-            acc = 0.0
-            for j in range(n):
-                acc += weights[row + j] * x[base + j]
-            y[u] = acc + sigma * x[u]
-        lam = 0.0
-        for u in range(n_states):
-            lam += y[u]
-        residual = 0.0
-        for u in range(n_states):
-            residual += abs(y[u] - lam * x[u])
-        for u in range(n_states):
-            x[u] = y[u] / lam
         if residual <= tol * lam:
             return lam, it + 1, True
     return lam, max_iter, False
@@ -145,15 +79,23 @@ def _debruijn_power_loops(
 # ---------------------------------------------------------------------------
 
 
-def _two_block_sweep_impl(
+def two_block_sweep(
     ks: np.ndarray,
     n: float,
     t: float,
     a0: float,
     a1: float,
-    newton_tol: float,
-    max_newton: int,
-):
+    newton_tol: float = 1e-13,
+    max_newton: int = 60,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the ordered two-value slices for every multiplicity in ``ks``.
+
+    Returns ``(z_low, z_high, curvature, ok)`` arrays aligned with ``ks``;
+    entries with ``ok`` false (infeasible or unconverged slice) hold NaN.
+    """
+    ks = np.ascontiguousarray(ks, dtype=np.int64)
+    n, t, a0, a1 = float(n), float(t), float(a0), float(a1)
+    newton_tol, max_newton = float(newton_tol), int(max_newton)
     m = ks.shape[0]
     za_out = np.empty(m)
     zb_out = np.empty(m)
@@ -263,89 +205,3 @@ def _two_block_sweep_impl(
         a2_out[i] = za * za * ea + zb * zb * eb - a1 * a1
         ok[i] = True
     return za_out, zb_out, a2_out, ok
-
-
-_two_block_sweep_numpy = _two_block_sweep_impl
-
-if HAVE_NUMBA:
-    _debruijn_power_numba = njit(cache=True)(_debruijn_power_loops)
-    _two_block_sweep_numba = njit(cache=True)(_two_block_sweep_impl)
-else:  # pragma: no cover - exercised only without numba installed
-    _debruijn_power_numba = None
-    _two_block_sweep_numba = None
-
-
-def backends() -> dict:
-    """Both implementations of each kernel, for benchmarking and tests.
-
-    Returns ``{"numpy": {...}, "numba": {...} | None}`` keyed by kernel
-    name; the numba entry is ``None`` when numba is not importable.
-    """
-    numba_impls = None
-    if HAVE_NUMBA:
-        numba_impls = {
-            "debruijn_power": _debruijn_power_numba,
-            "two_block_sweep": _two_block_sweep_numba,
-        }
-    return {
-        "numpy": {
-            "debruijn_power": _debruijn_power_numpy,
-            "two_block_sweep": _two_block_sweep_numpy,
-        },
-        "numba": numba_impls,
-    }
-
-
-def debruijn_power(
-    weights: np.ndarray,
-    n: int,
-    tail: int,
-    tol: float = 1e-13,
-    max_iter: int = 100_000,
-    sigma: float = 0.0,
-) -> tuple[float, int, bool]:
-    """Leading eigenvalue of the word-graph transfer matrix plus ``sigma*I``.
-
-    ``weights`` holds one non-negative weight per length-``w`` word in
-    base-``n`` order; ``tail`` is ``n**(w-2)`` (1 for ``w = 2``).  Returns
-    ``(eigenvalue, iterations, converged)``.
-    """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _debruijn_power_numba(
-            weights, int(n), int(tail), float(tol), int(max_iter), float(sigma)
-        )
-    return _debruijn_power_numpy(
-        weights, int(n), int(tail), float(tol), int(max_iter), float(sigma)
-    )
-
-
-def two_block_sweep(
-    ks: np.ndarray,
-    n: float,
-    t: float,
-    a0: float,
-    a1: float,
-    newton_tol: float = 1e-13,
-    max_newton: int = 60,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the ordered two-value slices for every multiplicity in ``ks``.
-
-    Returns ``(z_low, z_high, curvature, ok)`` arrays aligned with ``ks``;
-    entries with ``ok`` false (infeasible or unconverged slice) hold NaN.
-    """
-    ks = np.ascontiguousarray(ks, dtype=np.int64)
-    if _BACKEND == "numba":
-        return _two_block_sweep_numba(
-            ks, float(n), float(t), float(a0), float(a1), float(newton_tol), int(max_newton)
-        )
-    return _two_block_sweep_numpy(
-        ks, float(n), float(t), float(a0), float(a1), float(newton_tol), int(max_newton)
-    )
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active kernels on tiny inputs."""
-    weights = np.exp(np.linspace(-1.0, 0.0, 8))
-    debruijn_power(weights, 2, 2, 1e-10, 1000, 0.0)
-    two_block_sweep(np.array([1, 2], dtype=np.int64), 3.0, 1.0, 2.0, 1.0)

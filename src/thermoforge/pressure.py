@@ -44,7 +44,6 @@ __all__ = [
 MAX_JET_ORDER = 12
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 100_000
-_DENSE_LIMIT = 4096
 _PAIRWISE_LIMIT = 2048
 
 
@@ -114,39 +113,31 @@ def pressure(potential: CylinderPotential, t: float) -> float:
 def pressure_spectral(potential: CylinderPotential, t: float) -> float:
     """Pressure on a transition-constrained space via the transfer matrix.
 
-    The weighted adjacency ``B[i, j] = A[i, j] * exp(t * c_j)`` (window 1)
-    or its word-graph lift (window >= 2) is run through power iteration;
-    the result is the log of its leading eigenvalue.  Requires an
-    irreducible transition matrix.
+    The length-``w`` words allowed by the transition matrix, weighted by
+    ``exp(t * value)``, form the word graph whose leading eigenvalue power
+    iteration finds; the result is its log.  A window-1 potential is first
+    lifted to the equivalent window-2 potential, whose word ``(i, j)``
+    carries ``c_j``, so that its weighted adjacency is
+    ``B[i, j] = A[i, j] * exp(t * c_j)``.  Requires an irreducible
+    transition matrix.
     """
-    A = potential.space.transition_matrix()
-    if A is None:
+    if potential.space.is_full_shift:
         raise UnsupportedConfigurationError(
             "pressure_spectral() requires a transition matrix; "
             "use pressure() on the full shift"
         )
     if not potential.space.irreducible:
         raise DomainError("transition matrix is not irreducible")
-    t = float(t)
     if potential.window == 1:
-        n = potential.n
-        if n > _DENSE_LIMIT:
-            raise SizeLimitError(
-                f"dense spectral path supports alphabets up to {_DENSE_LIMIT}, got {n}"
-            )
-        scaled = t * potential.values
-        shift = float(scaled.max())
-        B = A * np.exp(scaled - shift)[None, :]
-        lam = _power_iterate_dense(B)
-        return shift + math.log(lam)
-    return _word_graph_log_radius(potential, t, mask=_word_validity_mask(potential))
+        potential = CylinderPotential(
+            potential.space, 2, np.tile(potential.values, potential.n)
+        )
+    return _word_graph_log_radius(potential, float(t), mask=_word_validity_mask(potential))
 
 
-def _word_validity_mask(potential: CylinderPotential) -> np.ndarray | None:
+def _word_validity_mask(potential: CylinderPotential) -> np.ndarray:
     """0/1 mask over length-``w`` words allowed by the transition matrix."""
     A = potential.space.transition_matrix()
-    if A is None:
-        return None
     n, w = potential.n, potential.window
     idx = np.arange(n**w)
     symbols = [(idx // n ** (w - 1 - p)) % n for p in range(w)]
@@ -161,12 +152,17 @@ def _word_graph_log_radius(
 ) -> float:
     n, w = potential.n, potential.window
     scaled = t * potential.values
+    if mask is not None:
+        # Forbidden words get weight exp(-inf) = 0 and so cannot set the
+        # scale; the largest allowed weight is 1, comparable to sigma below.
+        scaled = np.where(mask > 0.0, scaled, -np.inf)
     shift = float(scaled.max())
     weights = np.exp(scaled - shift)
-    if mask is not None:
-        weights = weights * mask
-    tail = n ** (w - 2) if w >= 2 else 1
-    for sigma in (0.0, 1.0):
+    tail = n ** (w - 2)
+    # A periodic graph has several eigenvalues on the spectral circle and
+    # never converges unshifted; the shift sigma*I makes it primitive.
+    sigmas = (1.0,) if potential.space.period > 1 else (0.0, 1.0)
+    for sigma in sigmas:
         lam, _, converged = kernels.debruijn_power(
             weights, n, tail, _POWER_TOL, _POWER_MAX_ITER, sigma
         )
@@ -175,30 +171,6 @@ def _word_graph_log_radius(
             if radius <= 0.0:
                 raise NumericError("transfer matrix has non-positive leading eigenvalue")
             return shift + math.log(radius)
-    raise ConvergenceError(
-        f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
-    )
-
-
-def _power_iterate_dense(B: np.ndarray) -> float:
-    size = B.shape[0]
-    for sigma in (0.0, 1.0):
-        x = np.full(size, 1.0 / size)
-        lam = 0.0
-        for it in range(_POWER_MAX_ITER):
-            y = B @ x + sigma * x
-            lam = float(y.sum())
-            if lam <= 0.0:
-                raise NumericError("transfer matrix iteration collapsed to zero")
-            residual = float(np.abs(y - lam * x).sum())
-            x = y / lam
-            if residual <= _POWER_TOL * lam:
-                radius = lam - sigma
-                if radius <= 0.0:
-                    raise NumericError(
-                        "transfer matrix has non-positive leading eigenvalue"
-                    )
-                return radius
     raise ConvergenceError(
         f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
     )

@@ -15,6 +15,7 @@ windows are stored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -45,13 +46,16 @@ class SubshiftSpec:
     """Alphabet size plus an optional 0/1 transition matrix.
 
     ``transition[i][j] == 1`` means symbol ``j`` may follow symbol ``i``.
-    ``None`` means the full shift.  The ``irreducible`` flag is computed
-    at construction (strong connectivity of the transition graph).
+    ``None`` means the full shift.  The ``irreducible`` flag (strong
+    connectivity of the transition graph) and the graph's ``period`` (the
+    gcd of its cycle lengths; 1 for the full shift) are computed at
+    construction.
     """
 
     n: int
     transition: tuple[tuple[int, ...], ...] | None = None
     irreducible: bool = field(init=False, compare=False)
+    period: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 <= int(self.n) <= MAX_ALPHABET:
@@ -59,6 +63,7 @@ class SubshiftSpec:
         object.__setattr__(self, "n", int(self.n))
         if self.transition is None:
             object.__setattr__(self, "irreducible", True)
+            object.__setattr__(self, "period", 1)
             return
         rows = tuple(tuple(int(x) for x in row) for row in self.transition)
         if len(rows) != self.n or any(len(row) != self.n for row in rows):
@@ -70,7 +75,9 @@ class SubshiftSpec:
         if any(not any(row[j] for row in rows) for j in range(self.n)):
             raise DomainError("transition matrix has an all-zero column")
         object.__setattr__(self, "transition", rows)
-        object.__setattr__(self, "irreducible", _strongly_connected(rows))
+        irreducible, period = _connectivity(rows)
+        object.__setattr__(self, "irreducible", irreducible)
+        object.__setattr__(self, "period", period)
 
     @property
     def is_full_shift(self) -> bool:
@@ -83,23 +90,37 @@ class SubshiftSpec:
         return np.asarray(self.transition, dtype=np.float64)
 
 
-def _strongly_connected(rows: tuple[tuple[int, ...], ...]) -> bool:
+def _connectivity(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, int]:
+    """Strong connectivity and period of the transition graph.
+
+    One breadth-first search from symbol 0 labels every reached symbol
+    with its level; the period is the gcd of ``level[i] + 1 - level[j]``
+    over the edges ``i -> j`` between reached symbols.
+    """
     n = len(rows)
 
-    def reachable(adj: Sequence[Sequence[int]]) -> bool:
-        seen = [False] * n
-        seen[0] = True
+    def levels(adj: Sequence[Sequence[int]]) -> list:
+        level: list = [None] * n
+        level[0] = 0
         frontier = [0]
-        while frontier:
-            i = frontier.pop()
+        for i in frontier:
             for j in range(n):
-                if adj[i][j] and not seen[j]:
-                    seen[j] = True
+                if adj[i][j] and level[j] is None:
+                    level[j] = level[i] + 1
                     frontier.append(j)
-        return all(seen)
+        return level
 
+    forward = levels(rows)
     reverse = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
-    return reachable(rows) and reachable(reverse)
+    irreducible = None not in forward and None not in levels(reverse)
+    period = 0
+    for i in range(n):
+        if forward[i] is None:
+            continue
+        for j in range(n):
+            if rows[i][j]:
+                period = math.gcd(period, forward[i] + 1 - forward[j])
+    return irreducible, period
 
 
 @dataclass(frozen=True, eq=False)

@@ -286,7 +286,6 @@ class TestSelftestCommand:
     def test_exits_zero_and_reports_checks(self):
         proc = run_cli("selftest")
         assert proc.returncode == 0
-        assert "backend: " in proc.stdout
         assert proc.stdout.count("ok - ") >= 7
         assert "FAIL" not in proc.stdout
         assert "all checks passed" in proc.stdout

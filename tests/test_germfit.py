@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _reference_values import EXTREME_PAIR_ROWS, UPPER_BRANCH_ROOT
+from thermoforge import kernels
 from thermoforge.errors import (
     DomainError,
     FeasibilityError,
@@ -154,6 +155,28 @@ class TestFeasibleCurvatureRange:
     def test_infeasible_slope_raises(self):
         with pytest.raises(FeasibilityError):
             feasible_a2_range(Germ(1.0, (2.0, 9.0)), 4)
+
+    def test_skipped_split_warns_from_both_entry_points(self, monkeypatch):
+        original = kernels.two_block_sweep
+
+        def drop_first_solved_split(*args, **kwargs):
+            za, zb, a2, ok = (arr.copy() for arr in original(*args, **kwargs))
+            broken = int(np.flatnonzero(ok)[0])
+            za[broken] = zb[broken] = a2[broken] = np.nan
+            ok[broken] = False
+            return za, zb, a2, ok
+
+        monkeypatch.setattr(kernels, "two_block_sweep", drop_first_solved_split)
+        with pytest.warns(UserWarning) as range_warnings:
+            low, high = feasible_a2_range(Germ(1.0, (2.0, 1.0)), 6)
+        with pytest.warns(UserWarning) as fit_warnings:
+            result = fit_level2(Germ(1.0, (2.0, 1.0, high)), 6)
+        assert result.feasible_a2 == (low, high)
+        messages = [str(w.message) for w in range_warnings]
+        assert messages == ["1 two-value split(s) skipped: Newton did not converge"]
+        assert [str(w.message) for w in fit_warnings] == messages
+        # The warning points at the caller, not inside the package.
+        assert {w.filename for w in [*range_warnings, *fit_warnings]} == {__file__}
 
 
 class TestFitLevel2:

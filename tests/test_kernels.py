@@ -1,42 +1,9 @@
-"""Tests for the dual-backend numeric kernels."""
-
-import os
-import subprocess
-import sys
+"""Tests for the numeric kernels."""
 
 import numpy as np
 import pytest
 
 from thermoforge import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-class TestBackendRegistry:
-    def test_backends_always_exposes_numpy_implementations(self):
-        impls = kernels.backends()
-        assert set(impls) == {"numpy", "numba"}
-        assert set(impls["numpy"]) == {"debruijn_power", "two_block_sweep"}
-
-    def test_numba_entry_matches_availability(self):
-        impls = kernels.backends()
-        if kernels.HAVE_NUMBA:
-            assert set(impls["numba"]) == {"debruijn_power", "two_block_sweep"}
-        else:
-            assert impls["numba"] is None
-
-    def test_active_backend_is_a_known_name(self):
-        assert kernels.active_backend() in ("numpy", "numba")
-
-    def test_warmup_runs_without_error(self):
-        kernels.warmup()
-
-    def test_dispatcher_routes_to_active_backend(self):
-        impls = kernels.backends()[kernels.active_backend()]
-        weights = np.exp(np.linspace(-0.5, 0.5, 16))
-        direct = impls["debruijn_power"](weights, 2, 4, 1e-13, 10_000, 0.0)
-        routed = kernels.debruijn_power(weights, 2, 4)
-        assert routed == direct
 
 
 class TestPowerIteration:
@@ -103,84 +70,3 @@ class TestSliceSweep:
         assert np.isnan(a2[bad]).all()
         # Degenerate splits (empty block on either side) are never solvable.
         assert not ok[0] and not ok[-1]
-
-
-@needs_numba
-class TestCrossBackendAgreement:
-    def test_power_iteration_matches_to_summation_order(self):
-        # The vectorized backend sums with numpy's pairwise reduction, the
-        # JIT loop sequentially; the eigenvalues can land an ulp apart.
-        rng = np.random.default_rng(61)
-        n, window = 2, 10
-        weights = np.exp(rng.uniform(-1.0, 0.5, size=n**window) - 0.5)
-        tail = n ** (window - 2)
-        impls = kernels.backends()
-        args = (weights, n, tail, 1e-13, 100_000, 1e-3)
-        lam_np, it_np, conv_np = impls["numpy"]["debruijn_power"](*args)
-        lam_nb, it_nb, conv_nb = impls["numba"]["debruijn_power"](*args)
-        assert conv_np and conv_nb
-        assert it_np == it_nb
-        assert lam_np == pytest.approx(lam_nb, rel=1e-14)
-
-    def test_sweep_matches_to_newton_tolerance(self):
-        # Near the feasibility edge the two backends' Newton iterations can
-        # stop at points a last ulp apart (numpy's vectorized exp vs scalar
-        # libm), so the solved slices agree to ~1e-13 but not bit-for-bit.
-        n = 500
-        t, a0 = 1.0, 2.0
-        a1 = (a0 - np.log(n)) / t + 0.05
-        ks = np.arange(0, n + 1, dtype=np.int64)
-        impls = kernels.backends()
-        args = (ks, float(n), t, a0, a1, 1e-13, 60)
-        res_np = impls["numpy"]["two_block_sweep"](*args)
-        res_nb = impls["numba"]["two_block_sweep"](*args)
-        ok_np, ok_nb = res_np[3], res_nb[3]
-        assert np.array_equal(ok_np, ok_nb)
-        assert ok_np.sum() > 0
-        for x, y in zip(res_np[:3], res_nb[:3]):
-            assert np.allclose(x[ok_np], y[ok_np], rtol=0.0, atol=1e-12)
-
-
-class TestEnvironmentSelection:
-    def _active_backend_in_subprocess(self, value):
-        env = {k: v for k, v in os.environ.items() if k != "THERMOFORGE_KERNELS"}
-        if value is not None:
-            env["THERMOFORGE_KERNELS"] = value
-        code = (
-            "import warnings; warnings.simplefilter('ignore'); "
-            "from thermoforge import kernels; print(kernels.active_backend())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        return out.stdout.strip()
-
-    def test_numpy_flag_forces_numpy_backend(self):
-        assert self._active_backend_in_subprocess("numpy") == "numpy"
-
-    @needs_numba
-    def test_numba_flag_selects_numba_backend(self):
-        assert self._active_backend_in_subprocess("numba") == "numba"
-
-    def test_unset_flag_picks_a_valid_default(self):
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert self._active_backend_in_subprocess(None) == expected
-
-    def test_unrecognized_flag_warns_at_import(self):
-        env = {k: v for k, v in os.environ.items() if k != "THERMOFORGE_KERNELS"}
-        env["THERMOFORGE_KERNELS"] = "fortran"
-        out = subprocess.run(
-            [sys.executable, "-W", "error::UserWarning", "-c", "import thermoforge.kernels"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode != 0
-        assert "not recognized" in out.stderr
-
-    def test_unrecognized_flag_still_imports_with_default_backend(self):
-        assert self._active_backend_in_subprocess("fortran") in ("numpy", "numba")

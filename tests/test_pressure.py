@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from thermoforge import kernels
 from thermoforge.errors import (
     DomainError,
     OrderLimitError,
@@ -98,6 +99,20 @@ class TestPressureValues:
             pressure(_phi(values), 0.8), abs=1e-12
         )
 
+    def test_window_one_graph_matches_dense_eigenvalue_oracle(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        n = 6
+        graph = (rng.uniform(size=(n, n)) < 0.4).astype(int)
+        cycle = rng.permutation(n)
+        graph[cycle, np.roll(cycle, -1)] = 1
+        transition = tuple(tuple(int(x) for x in row) for row in graph)
+        values = rng.uniform(-1.0, 1.0, size=n)
+        phi = CylinderPotential(SubshiftSpec(n, transition), 1, values)
+        for t in (-0.8, 0.5, 1.7):
+            weighted = graph * np.exp(t * values)[None, :]
+            expected = math.log(np.abs(np.linalg.eigvals(weighted)).max())
+            assert pressure_spectral(phi, t) == pytest.approx(expected, abs=1e-12)
+
     def test_spectral_entry_point_rejects_full_shift(self):
         with pytest.raises(UnsupportedConfigurationError):
             pressure_spectral(_phi([0.0, 1.0]), 1.0)
@@ -106,6 +121,39 @@ class TestPressureValues:
         phi = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 1, [0.0, 0.0])
         with pytest.raises(UnsupportedConfigurationError):
             pressure(phi, 1.0)
+
+
+class TestPeriodicGraphs:
+    """The swap graph has period 2: unshifted power iteration never settles."""
+
+    SWAP = SubshiftSpec(2, ((0, 1), (1, 0)))
+
+    @pytest.fixture
+    def iterations(self, monkeypatch):
+        counts = []
+        original = kernels.debruijn_power
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            counts.append(result[1])
+            return result
+
+        monkeypatch.setattr(kernels, "debruijn_power", counted)
+        return counts
+
+    def test_window_one_swap_graph_converges_promptly(self, iterations):
+        values = (0.3, -0.7)
+        phi = CylinderPotential(self.SWAP, 1, values)
+        # B = [[0, e^{t c1}], [e^{t c0}, 0]] has spectral radius e^{t (c0 + c1) / 2}.
+        assert pressure_spectral(phi, 1.3) == pytest.approx(1.3 * (0.3 - 0.7) / 2, abs=1e-12)
+        assert 0 < sum(iterations) <= 100
+
+    def test_window_two_swap_graph_converges_promptly(self, iterations):
+        # Only the words 01 and 10 are allowed; 00 and 11 are masked out.
+        values = (5.0, 0.2, 0.9, -3.0)
+        phi = CylinderPotential(self.SWAP, 2, values)
+        assert pressure_spectral(phi, 1.3) == pytest.approx(1.3 * (0.2 + 0.9) / 2, abs=1e-12)
+        assert 0 < sum(iterations) <= 100
 
 
 class TestPressureProperties:

@@ -68,6 +68,21 @@ class TestSubshiftSpec:
         with pytest.raises(DomainError):
             SubshiftSpec(2, ((1, 0), (1, 0)))
 
+    @pytest.mark.parametrize(
+        "transition, period",
+        [
+            (None, 1),
+            (((1, 1), (1, 0)), 1),
+            (((0, 1), (1, 0)), 2),
+            (((0, 1, 0), (0, 0, 1), (1, 0, 0)), 3),
+            (((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)), 2),
+            (((0, 1, 1), (0, 0, 1), (1, 0, 0)), 1),  # cycles of length 2 and 3
+        ],
+    )
+    def test_period_is_gcd_of_cycle_lengths(self, transition, period):
+        n = 2 if transition is None else len(transition)
+        assert SubshiftSpec(n, transition).period == period
+
 
 class TestWordIndexing:
     def test_most_significant_symbol_first(self):
