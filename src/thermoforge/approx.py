@@ -127,12 +127,11 @@ def discretize(
             f"table of {spec.n}^{window} values exceeds the {MAX_TABLE_SIZE} ceiling"
         )
     f = np.asarray(spec.f)
-    values = np.zeros(size)
-    # Word index is most-significant-digit first: coordinate k has place
-    # value n**(window-1-k).
+    # Word index is most-significant-digit first, so appending coordinate k
+    # as the new last digit is an outer add; the sums run in order of k.
+    values = np.zeros(1)
     for k in range(window):
-        digits = (np.arange(size) // spec.n ** (window - 1 - k)) % spec.n
-        values += spec.r**k * f[digits]
+        values = (values[:, None] + spec.r**k * f).reshape(-1)
     tail_scale = spec.r**window / (1.0 - spec.r)
     if mode == "inf":
         values += tail_scale * float(f.min())

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,13 +29,7 @@ from .approx import DecayingPotentialSpec, convergence_study
 from .cltsim import SimConfig, simulate_gm
 from .combinatorics import fdb_coefficient, partitions
 from .errors import DomainError, NumericError
-from .germfit import (
-    Germ,
-    fit_level1,
-    fit_level2,
-    invert_zexp,
-    solve_extreme_pair_full,
-)
+from .germfit import Germ, fit_level1, fit_level2, invert_zexp, solve_extreme_pair_full
 from .pressure import finite_difference_jet, pressure, pressure_jet, pressure_spectral, q_values
 from .rigidity import CandidateFunction, rigidity_inequalities
 from .symbolic import CylinderPotential, SubshiftSpec, potential_from_json, potential_to_dict
@@ -89,19 +83,8 @@ def _resolve_seed(args: argparse.Namespace):
         try:
             return int(raw, 0)
         except ValueError:
-            raise DomainError(
-                f"THERMOFORGE_SEED must be an integer, got {raw!r}"
-            ) from None
+            raise DomainError(f"THERMOFORGE_SEED must be an integer, got {raw!r}") from None
     return getattr(args, "seed", None)
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    output = getattr(args, "output", None)
-    if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _fmt(value) -> str:
@@ -112,27 +95,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_text(schema: str, manifest: dict, extra_comments: dict, header, rows) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# schema: {schema}\n")
-    buffer.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
-    for key, value in extra_comments.items():
-        buffer.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
-    buffer.write(",".join(header) + "\n")
-    for row in rows:
-        buffer.write(",".join(_fmt(cell) for cell in row) + "\n")
-    return buffer.getvalue()
+def _render(args, manifest, payload, schema=None, columns=None, comments=None) -> int:
+    """Write one command's result as ``--out`` (JSON or CSV) to ``--output``.
+
+    JSON is ``{"manifest": manifest, **payload}``.  CSV is the schema, the
+    manifest and ``comments`` as ``# key: <json>`` lines, then a header
+    from ``columns`` (ordered header -> column values) and one row per index.
+    """
+    if args.out == "json":
+        text = json.dumps({"manifest": manifest, **payload}, indent=2, sort_keys=True) + "\n"
+    else:
+        comments = {"manifest": manifest, **(comments or {})}
+        lines = [f"# schema: {schema}"] + [
+            f"# {key}: {json.dumps(value, sort_keys=True)}" for key, value in comments.items()
+        ]
+        lines.append(",".join(columns))
+        lines += [",".join(_fmt(cell) for cell in row) for row in zip(*columns.values())]
+        text = "\n".join(lines) + "\n"
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _columns(rows: list[dict]) -> dict:
+    """Column mapping of a non-empty list of equally keyed row dicts."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"{flag} expects a comma-separated number list, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{flag} expects finite numbers, got {text!r}")
+    return values
+
+
+_MAX_GRID_POINTS = 10**6
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -151,11 +154,17 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         step = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError:
         raise DomainError(f"{flag} expects numeric bounds, got {text!r}") from None
+    if not all(map(math.isfinite, (start, end, step))):
+        raise DomainError(f"{flag} expects finite bounds, got {text!r}")
     if step <= 0.0:
         raise DomainError(f"{flag} step must be positive, got {step!r}")
     if end < start:
         raise DomainError(f"{flag} end must not precede start, got {text!r}")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
+    # Checked before any list is built; a quotient that overflows to inf fails too.
+    span = (end - start) / step
+    if not span < _MAX_GRID_POINTS:
+        raise DomainError(f"{flag} spans more than {_MAX_GRID_POINTS} points, got {text!r}")
+    count = int(math.floor(span + 1e-9)) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -185,48 +194,34 @@ def _cmd_pressure(args: argparse.Namespace) -> int:
         value = pressure_spectral(potential, args.t)
     else:
         value = pressure(potential, args.t)
-    payload = {
-        "manifest": _manifest(args, digests),
-        "t": args.t,
-        "pressure": value,
-    }
+    payload = {"t": args.t, "pressure": value}
     if args.order > 0:
         jet = pressure_jet(potential, args.t, args.order)
         payload["jet"] = {"t_star": jet.t_star, "derivs": list(jet.derivs)}
-    _emit(args, _json_text(payload))
-    return 0
+    return _render(args, _manifest(args, digests), payload)
 
 
-def _fit_payload(args: argparse.Namespace, germ: Germ, result) -> dict:
-    pot = result.potential()
+def _fit_payload(germ: Germ, result) -> dict:
     return {
-        "manifest": _manifest(args, {}),
         "t_star": germ.t_star,
         "germ": list(germ.coeffs),
         "n": len(result.z),
         "z": list(result.z),
-        "achieved_jet": {
-            "t_star": result.achieved.t_star,
-            "derivs": list(result.achieved.derivs),
-        },
+        "achieved_jet": {"t_star": result.achieved.t_star, "derivs": list(result.achieved.derivs)},
         "residuals": dict(result.residuals),
         "feasible_a2": list(result.feasible_a2) if result.feasible_a2 else None,
-        "potential": potential_to_dict(pot),
+        "potential": potential_to_dict(result.potential()),
     }
 
 
 def _cmd_fit1(args: argparse.Namespace) -> int:
     germ = Germ(args.tstar, (args.a0, args.a1))
-    result = fit_level1(germ, args.n)
-    _emit(args, _json_text(_fit_payload(args, germ, result)))
-    return 0
+    return _render(args, _manifest(args, {}), _fit_payload(germ, fit_level1(germ, args.n)))
 
 
 def _cmd_fit2(args: argparse.Namespace) -> int:
     germ = Germ(args.tstar, (args.a0, args.a1, args.a2))
-    result = fit_level2(germ, args.n)
-    _emit(args, _json_text(_fit_payload(args, germ, result)))
-    return 0
+    return _render(args, _manifest(args, {}), _fit_payload(germ, fit_level2(germ, args.n)))
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
@@ -252,21 +247,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
             }
         )
     manifest = _manifest(args, {})
-    if args.out == "json":
-        _emit(args, _json_text({"manifest": manifest, "rows": rows}))
-    else:
-        header = [
-            "label",
-            "multiplicity",
-            "z_low",
-            "z_high",
-            "residual_value",
-            "residual_slope",
-            "iterations",
-        ]
-        table = [[row[key] for key in header] for row in rows]
-        _emit(args, _csv_text("thermoforge.table3.v1", manifest, {}, header, table))
-    return 0
+    return _render(args, manifest, {"rows": rows}, "thermoforge.table3.v1", _columns(rows))
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
@@ -281,50 +262,16 @@ def _cmd_rigidity(args: argparse.Namespace) -> int:
             if value is None
         ]
         if missing:
-            raise DomainError(
-                f"family 'fabc' needs {', '.join(missing)} (or use --potential)"
-            )
+            raise DomainError(f"family 'fabc' needs {', '.join(missing)} (or use --potential)")
         candidate = CandidateFunction.from_fabc(args.a, args.b, args.c)
     grid = _parse_grid(args.grid, "--grid")
-    report = rigidity_inequalities(candidate, grid, args.mphi)
-    manifest = _manifest(args, digests)
-    if args.out == "json":
-        _emit(args, _json_text({"manifest": manifest, "report": report.to_dict()}))
-        return 0
-    header = [
-        "t",
-        "second",
-        "third",
-        "fourth",
-        "d_value",
-        "curvature_ok",
-        "cubic_lhs",
-        "cubic_rhs",
-        "cubic_holds",
-        "quartic_lhs",
-        "quartic_rhs",
-        "quartic_holds",
-    ]
-    table = [
-        [
-            report.grid[i],
-            report.second[i],
-            report.third[i],
-            report.fourth[i],
-            report.d_values[i],
-            report.curvature_ok[i],
-            report.cubic_lhs[i],
-            report.cubic_rhs[i],
-            report.cubic_holds[i],
-            report.quartic_lhs[i],
-            report.quartic_rhs[i],
-            report.quartic_holds[i],
-        ]
-        for i in range(len(report.grid))
-    ]
-    extra = {"m_phi": report.m_phi, "tension": report.tension}
-    _emit(args, _csv_text("thermoforge.rigidity.v1", manifest, extra, header, table))
-    return 0
+    report = rigidity_inequalities(candidate, grid, args.mphi).to_dict()
+    comments = {"m_phi": report["m_phi"], "tension": report["tension"]}
+    renamed = {"grid": "t", "d_values": "d_value"}
+    # Every other report entry is one value per grid point, in column order.
+    columns = {renamed.get(key, key): report[key] for key in report if key not in comments}
+    manifest, schema = _manifest(args, digests), "thermoforge.rigidity.v1"
+    return _render(args, manifest, {"report": report}, schema, columns, comments)
 
 
 def _cmd_cltsim(args: argparse.Namespace) -> int:
@@ -338,59 +285,28 @@ def _cmd_cltsim(args: argparse.Namespace) -> int:
         seed=seed,
         workers=args.threads,
     )
-    report = simulate_gm(config)
-    manifest = _manifest(args, digests, seed=seed)
-    if args.out == "json":
-        _emit(args, _json_text({"manifest": manifest, "report": report.to_dict()}))
-        return 0
-    header = ["m", "ks_distance", "bound", "sample_mean", "sample_variance"]
-    table = [
-        [
-            report.orbit_lengths[i],
-            report.ks_distances[i],
-            report.bounds[i],
-            report.sample_means[i],
-            report.sample_variances[i],
-        ]
-        for i in range(len(report.orbit_lengths))
-    ]
-    extra = {
-        "deltas": list(report.deltas),
-        "first_m_below_bound": report.first_m_below_bound,
-        "samples_per_m": report.samples_per_m,
-        "workers": report.workers,
+    report = simulate_gm(config).to_dict()
+    columns = {
+        "m": report["orbit_lengths"],
+        "ks_distance": report["ks_distances"],
+        "bound": report["bounds"],
+        "sample_mean": report["sample_means"],
+        "sample_variance": report["sample_variances"],
     }
-    _emit(args, _csv_text("thermoforge.cltsim.v1", manifest, extra, header, table))
-    return 0
+    keys = ("deltas", "first_m_below_bound", "samples_per_m", "workers")
+    comments = {key: report[key] for key in keys}
+    manifest = _manifest(args, digests, seed=seed)
+    return _render(args, manifest, {"report": report}, "thermoforge.cltsim.v1", columns, comments)
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     label, text, digest = _read_input(args.spec)
     spec = DecayingPotentialSpec.from_json(text)
     windows = _parse_int_list(args.windows, "--windows")
-    rows = convergence_study(spec, args.t, windows)
+    rows = [asdict(row) for row in convergence_study(spec, args.t, windows)]
     manifest = _manifest(args, {label: digest})
-    if args.out == "json":
-        payload = {
-            "manifest": manifest,
-            "spec": spec.to_dict(),
-            "t": args.t,
-            "rows": [
-                {
-                    "window": row.window,
-                    "p_inf": row.p_inf,
-                    "p_sup": row.p_sup,
-                    "gap": row.gap,
-                }
-                for row in rows
-            ],
-        }
-        _emit(args, _json_text(payload))
-        return 0
-    header = ["window", "p_inf", "p_sup", "gap"]
-    table = [[row.window, row.p_inf, row.p_sup, row.gap] for row in rows]
-    _emit(args, _csv_text("thermoforge.approx.v1", manifest, {}, header, table))
-    return 0
+    payload = {"spec": spec.to_dict(), "t": args.t, "rows": rows}
+    return _render(args, manifest, payload, "thermoforge.approx.v1", _columns(rows))
 
 
 def _selftest_checks():

@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegeneratePotentialError, DomainError
 from .pressure import pressure_jet
@@ -175,6 +174,8 @@ def simulate_gm(config: SimConfig) -> CltReport:
     are tested against N(0, d2) with the one-sample KS statistic.
     Identical seed and worker count give a bit-identical report.
     """
+    from scipy.special import ndtr  # imported here to keep scipy off ``import thermoforge``
+
     centered = center_potential(config.potential, config.t_star)
     jet = pressure_jet(centered, config.t_star, 4)
     d2, d3, d4 = jet.derivs[2], jet.derivs[3], jet.derivs[4]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import kernels
 from .combinatorics import compose_derivatives
@@ -106,8 +105,27 @@ def pressure(potential: CylinderPotential, t: float) -> float:
         )
     t = float(t)
     if potential.window == 1:
-        return float(logsumexp(t * potential.values))
+        return _logsumexp(t * potential.values)
     return _word_graph_log_radius(potential, t, mask=None)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` with the arithmetic of ``scipy.special.logsumexp``.
+
+    Every entry equal to the max leaves the shifted sum and is counted, so
+    ties, as fitted potentials have, add exactly ``log(count)``.  A
+    non-finite result (an infinite or nan entry) falls back to the direct
+    formula, as scipy does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        ties = a == top
+        count = np.count_nonzero(ties)
+        rest = np.exp(np.where(ties, -np.inf, a) - top).sum()
+        value = np.log1p(rest / count) + np.log(count) + top
+        if not np.isfinite(value):
+            value = np.log(np.exp(a).sum())
+    return float(value)
 
 
 def pressure_spectral(potential: CylinderPotential, t: float) -> float:
@@ -136,14 +154,16 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
 
 
 def _word_validity_mask(potential: CylinderPotential) -> np.ndarray:
-    """0/1 mask over length-``w`` words allowed by the transition matrix."""
+    """0/1 mask over length-``w`` words allowed by the transition matrix.
+
+    Built one appended symbol at a time, so the only temporaries are the
+    mask itself and its successor.
+    """
     A = potential.space.transition_matrix()
-    n, w = potential.n, potential.window
-    idx = np.arange(n**w)
-    symbols = [(idx // n ** (w - 1 - p)) % n for p in range(w)]
-    mask = np.ones(idx.shape[0], dtype=np.float64)
-    for p in range(w - 1):
-        mask *= A[symbols[p], symbols[p + 1]]
+    n = potential.n
+    mask = np.ones(n)
+    for _ in range(potential.window - 1):
+        mask = (mask.reshape(-1, n)[:, :, None] * A).reshape(-1)
     return mask
 
 
@@ -329,7 +349,7 @@ def finite_difference_jet(
 
     def g(u: float) -> float:
         # log of sum p_i * exp(u * d_i): zero at u = 0, curvature-sized nearby.
-        return float(logsumexp(u * centered + logp))
+        return _logsumexp(u * centered + logp)
 
     h0 = _FD_BASE_STEP
     steps = [h0, 2.0 * h0, 4.0 * h0]

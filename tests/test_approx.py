@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,28 @@ class TestDiscretize:
             discretize(GOLDEN, 2, "median")
         with pytest.raises(SizeLimitError):
             discretize(GOLDEN, 27, "inf")
+
+    def test_matches_per_digit_sums_bit_for_bit(self):
+        spec = DecayingPotentialSpec(3, (0.3, -0.7, 0.9), 0.7)
+        window = 6
+        f = np.asarray(spec.f)
+        head = np.zeros(3**window)
+        for k in range(window):
+            digits = (np.arange(3**window) // 3 ** (window - 1 - k)) % 3
+            head += spec.r**k * f[digits]
+        tail = spec.r**window / (1.0 - spec.r)
+        low = discretize(spec, window, "inf").values
+        assert np.array_equal(low, head + tail * float(f.min()))
+
+    def test_peak_memory_near_the_table(self):
+        spec = DecayingPotentialSpec(3, (0.3, -0.7, 0.9), 0.7)
+        tracemalloc.start()
+        try:
+            table = discretize(spec, 12, "inf").values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table.nbytes
 
 
 class TestConvergenceStudy:

@@ -4,11 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from thermoforge import cli
-from thermoforge.errors import NumericError
+from thermoforge.errors import DomainError, NumericError
 from thermoforge.pressure import pressure
 from thermoforge.symbolic import CylinderPotential, SubshiftSpec, potential_to_dict
 
@@ -354,3 +355,51 @@ class TestManifestStability:
         row = proc.stdout.splitlines()[3].split(",")
         z_low_text = row[2]
         assert repr(float(z_low_text)) == z_low_text
+
+
+class TestOutsideInput:
+    """Bad numbers in grids and lists are domain errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rigidity", "--a", "1", "--b", "1", "--c", "1", "--grid", "0.5:inf",
+             "--mphi", "0.5"],
+            ["rigidity", "--a", "1", "--b", "1", "--c", "1", "--grid", "0.5,nan",
+             "--mphi", "0.5"],
+            ["approx", "--spec", "decay.json", "--t", "1.0", "--windows", "1:inf"],
+            ["cltsim", "--potential", "potential.json", "--tstar", "0", "--m", "nan",
+             "--samples", "10000"],
+            ["rigidity", "--a", "1", "--b", "1", "--c", "1", "--grid", "0:1e9:1e-3",
+             "--mphi", "0.5"],
+        ],
+    )
+    def test_exits_2(self, argv, potential_file, decay_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert "domain error" in capsys.readouterr().err
+
+    def test_long_range_fails_on_the_count(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="more than"):
+                cli._parse_grid("0:1e9:1e-3", "--grid")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_largest_range_still_parses(self):
+        assert len(cli._parse_grid("1:1000000", "--windows")) == 1_000_000
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, thermoforge, thermoforge.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

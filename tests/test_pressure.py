@@ -1,10 +1,14 @@
 """Pressure values, derivative jets, and the constraint-sum quadruple."""
 
+import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+
+from scipy.special import logsumexp
 
 from thermoforge import kernels
 from thermoforge.errors import (
@@ -15,6 +19,8 @@ from thermoforge.errors import (
 )
 from thermoforge.pressure import (
     MAX_JET_ORDER,
+    _logsumexp,
+    _word_validity_mask,
     TaylorJet,
     finite_difference_jet,
     pressure,
@@ -154,6 +160,47 @@ class TestPeriodicGraphs:
         phi = CylinderPotential(self.SWAP, 2, values)
         assert pressure_spectral(phi, 1.3) == pytest.approx(1.3 * (0.2 + 0.9) / 2, abs=1e-12)
         assert 0 < sum(iterations) <= 100
+
+
+class TestLogSumExp:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(31))
+        for trial in range(400):
+            a = rng.normal(size=int(rng.integers(1, 200))) * rng.uniform(0.01, 50.0)
+            if trial % 2:
+                # Tied maxima, as fitted potentials have.
+                a[rng.choice(a.size, int(rng.integers(1, a.size + 1)), replace=False)] = a.max()
+            assert _logsumexp(a) == float(logsumexp(a))
+
+    def test_non_finite_entries_follow_scipy(self):
+        for a in ([np.inf, 0.0], [-np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0]):
+            a = np.array(a)
+            np.testing.assert_equal(_logsumexp(a), float(logsumexp(a)))
+
+
+class TestWordValidityMask:
+    GRAPH = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+
+    def test_matches_word_enumeration(self):
+        for window in (1, 2, 3, 5):
+            phi = CylinderPotential(SubshiftSpec(3, self.GRAPH), window, np.zeros(3**window))
+            expected = [
+                float(all(self.GRAPH[a][b] for a, b in zip(word, word[1:])))
+                for word in itertools.product(range(3), repeat=window)
+            ]
+            assert _word_validity_mask(phi).tolist() == expected
+
+    def test_peak_memory_near_the_table(self):
+        window = 18
+        golden = SubshiftSpec(2, ((1, 1), (1, 0)))
+        phi = CylinderPotential(golden, window, np.zeros(2**window))
+        tracemalloc.start()
+        try:
+            mask = _word_validity_mask(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * mask.nbytes
 
 
 class TestPressureProperties:
