@@ -198,21 +198,15 @@ def simulate_gm(config: SimConfig) -> CltReport:
         cells = [
             (m_idx, w_idx, block) for w_idx, block in enumerate(sizes) if block > 0
         ]
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                blocks = list(
-                    pool.map(
-                        lambda cell: _sample_sums(
-                            values, probabilities, m, cell[2], config.seed, cell[0], cell[1]
-                        ),
-                        cells,
-                    )
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            blocks = list(
+                pool.map(
+                    lambda cell: _sample_sums(
+                        values, probabilities, m, cell[2], config.seed, cell[0], cell[1]
+                    ),
+                    cells,
                 )
-        else:
-            blocks = [
-                _sample_sums(values, probabilities, m, block, config.seed, mi, wi)
-                for mi, wi, block in cells
-            ]
+            )
         scaled = np.sort(np.concatenate(blocks) / math.sqrt(m))
         n_samples = len(scaled)
         cdf = ndtr(scaled / sigma)

@@ -201,15 +201,11 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
     lo_t, hi_t = 0.0, 1.0
     h_lo = a2_k1 - target
     state = (za_hi_split, zb_hi_split)
-    z_final = None
     for _ in range(300):
         mid = 0.5 * (lo_t + hi_t)
-        za, zb = _solve_slider(germ, n, k, mid, state)
+        za, zb, a2_mid = _solve_slider(germ, n, k, mid, state)
         state = (za, zb)
-        a2_mid = _slider_curvature(germ, n, k, mid, za, zb)
         if abs(a2_mid - target) <= 0.1 * _CURVATURE_TOL:
-            zc = (1.0 - mid) * za + mid * zb
-            z_final = k * [za] + [zc] + (n - k - 1) * [zb]
             break
         if (a2_mid - target > 0.0) == (h_lo > 0.0):
             lo_t = mid
@@ -217,13 +213,13 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
         else:
             hi_t = mid
         if hi_t - lo_t < 1e-15:
-            zc = (1.0 - mid) * za + mid * zb
-            z_final = k * [za] + [zc] + (n - k - 1) * [zb]
             break
-    if z_final is None:
+    else:
         raise NumericError(
             f"curvature homotopy did not reach target {target} for n={n}"
         )
+    zc = (1.0 - mid) * za + mid * zb
+    z_final = k * [za] + [zc] + (n - k - 1) * [zb]
     return _finish_fit(germ, z_final, feasible_a2=bounds)
 
 
@@ -278,15 +274,15 @@ def _bracketing_pair(feasible, target):
 
 def _solve_slider(
     germ: Germ, n: int, k: int, theta: float, start: tuple[float, float]
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Damped Newton for the value/slope constraints with a sliding coordinate.
 
     ``k`` coordinates sit at ``z_a``, ``n - k - 1`` at ``z_b``, and one at
     ``(1 - theta) * z_a + theta * z_b``; the two constraint equations are
-    solved for ``(z_a, z_b)`` starting from ``start``.
+    solved for ``(z_a, z_b)`` starting from ``start``.  Returns
+    ``(z_a, z_b, curvature)``.
     """
     t, a0, a1 = germ.t_star, germ.a0, germ.a1
-    za, zb = start
     rest = float(n - k - 1)
 
     def residual(za: float, zb: float):
@@ -294,56 +290,24 @@ def _solve_slider(
         ea = k * math.exp(t * za - a0)
         eb = rest * math.exp(t * zb - a0) if rest > 0.0 else 0.0
         ec = math.exp(t * zc - a0)
-        f1 = ea + eb + ec - 1.0
-        f2 = za * ea + zb * eb + zc * ec - a1
-        return f1, f2, ea, eb, ec, zc
+        return ea + eb + ec - 1.0, za * ea + zb * eb + zc * ec - a1, ea, eb, ec, zc
 
-    f1, f2, ea, eb, ec, zc = residual(za, zb)
-    best = abs(f1) + abs(f2)
-    for _ in range(80):
-        if best <= _NEWTON_TOL:
-            return za, zb
-        j11 = t * (ea + (1.0 - theta) * ec)
-        j12 = t * (eb + theta * ec)
+    def direction(za: float, zb: float, r):
+        f1, f2, ea, eb, ec, zc = r
+        j11, j12 = t * (ea + (1.0 - theta) * ec), t * (eb + theta * ec)
         j21 = ea * (1.0 + t * za) + (1.0 - theta) * ec * (1.0 + t * zc)
         j22 = eb * (1.0 + t * zb) + theta * ec * (1.0 + t * zc)
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            break
-        dza = -(j22 * f1 - j12 * f2) / det
-        dzb = -(-j21 * f1 + j11 * f2) / det
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            trial = residual(za + scale * dza, zb + scale * dzb)
-            norm = abs(trial[0]) + abs(trial[1])
-            if norm < best:
-                za, zb = za + scale * dza, zb + scale * dzb
-                f1, f2, ea, eb, ec, zc = trial
-                best = norm
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    if best <= _NEWTON_TOL:
-        return za, zb
-    raise NumericError(
-        f"sliding-coordinate solve stalled at residual {best:.3e} "
-        f"(n={n}, k={k}, theta={theta})"
+        return kernels.newton_step(j11, j12, j21, j22, f1, f2)
+
+    za, zb, (_, _, ea, eb, ec, zc), best, _ = kernels.damped_newton(
+        residual, direction, *start, _NEWTON_TOL, 80, lambda f1, f2: abs(f1) + abs(f2)
     )
-
-
-def _slider_curvature(
-    germ: Germ, n: int, k: int, theta: float, za: float, zb: float
-) -> float:
-    t, a0, a1 = germ.t_star, germ.a0, germ.a1
-    rest = float(n - k - 1)
-    zc = (1.0 - theta) * za + theta * zb
-    ea = k * math.exp(t * za - a0)
-    eb = rest * math.exp(t * zb - a0) if rest > 0.0 else 0.0
-    ec = math.exp(t * zc - a0)
-    return za * za * ea + zb * zb * eb + zc * zc * ec - a1 * a1
+    if best > _NEWTON_TOL:
+        raise NumericError(
+            f"sliding-coordinate solve stalled at residual {best:.3e} "
+            f"(n={n}, k={k}, theta={theta})"
+        )
+    return za, zb, za * za * ea + zb * zb * eb + zc * zc * ec - a1 * a1
 
 
 def _finish_fit(germ: Germ, z: list[float], feasible_a2) -> FitResult:
@@ -424,33 +388,19 @@ def solve_extreme_pair_full(multiplicity: float) -> dict:
         eb = math.exp(zb)
         return ea + eb - _E2, za * ea + zb * eb - _E2, ea, eb
 
-    f1, f2, ea, eb = residual(za, zb)
-    best = max(abs(f1), abs(f2))
-    tol = 1e-14 * _E2
-    iterations = 0
-    for _ in range(60):
-        if best <= tol:
-            break
+    def direction(za: float, zb: float, r):
+        # The Jacobian factors as ea*eb*(zb - za); solve it in that form.
+        f1, f2, ea, eb = r
         det = ea * eb * (zb - za)
         if det == 0.0 or not math.isfinite(det):
             raise NumericError("singular Jacobian in the extreme-pair solve")
         dza = -((1.0 + zb) * eb * f1 - eb * f2) / det
-        dzb = -(-(1.0 + za) * ea * f1 + ea * f2) / det
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            trial = residual(za + scale * dza, zb + scale * dzb)
-            norm = max(abs(trial[0]), abs(trial[1]))
-            if norm < best:
-                za, zb = za + scale * dza, zb + scale * dzb
-                f1, f2, ea, eb = trial
-                best = norm
-                improved = True
-                break
-            scale *= 0.5
-        iterations += 1
-        if not improved:
-            break
+        return dza, -(-(1.0 + za) * ea * f1 + ea * f2) / det
+
+    za, zb, (f1, f2, _, _), best, iterations = kernels.damped_newton(
+        residual, direction, za, zb, 1e-14 * _E2, 60,
+        lambda f1, f2: max(abs(f1), abs(f2)),
+    )
     if best > 1e-13 * _E2:
         raise NumericError(
             f"extreme-pair Newton stagnated at residual {best:.3e} "

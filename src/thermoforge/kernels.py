@@ -5,14 +5,23 @@ iteration behind spectral pressure values, and the two-value-slice sweep
 behind curvature-range scans.  Each has exactly one implementation, in
 numpy; there is no backend selection.  ``perfbench/run.py`` measures
 them end to end and per layer.
+
+Every 2x2 solve in the package (the sweep's split solve, the level-2
+sliding-coordinate homotopy and the extreme-pair table in ``germfit``)
+runs through one step-halving Newton, :func:`damped_newton`, with
+:func:`newton_step` as the generic Jacobian solve.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
+    "damped_newton",
     "debruijn_power",
+    "newton_step",
     "two_block_sweep",
 ]
 
@@ -62,6 +71,50 @@ def debruijn_power(
     return lam, max_iter, False
 
 
+def newton_step(j11, j12, j21, j22, f1, f2):
+    """Newton step ``-J**-1 f`` of a 2x2 system; ``None`` if ``J`` is singular."""
+    det = j11 * j22 - j12 * j21
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    return -(j22 * f1 - j12 * f2) / det, -(-j21 * f1 + j11 * f2) / det
+
+
+def damped_newton(residual, direction, za, zb, tol, max_iter, norm):
+    """Step-halving Newton on a 2x2 system from ``(za, zb)``.
+
+    ``residual(za, zb)`` returns ``(f1, f2, *extras)``; ``direction(za, zb,
+    r)`` returns the step ``(dza, dzb)`` from the residual tuple ``r`` at
+    that point, or ``None`` to stop.  Each step is halved up to 40 times
+    until ``norm(f1, f2)`` drops; no drop ends the solve, as does reaching
+    ``tol``.  Returns ``(za, zb, r, best, steps)``: the last accepted point,
+    its residual tuple and norm, and the number of steps tried.  The caller
+    decides whether ``best`` is good enough.
+    """
+    r = residual(za, zb)
+    best = norm(r[0], r[1])
+    steps = 0
+    for _ in range(max_iter):
+        if best <= tol:
+            break
+        step = direction(za, zb, r)
+        if step is None:
+            break
+        dza, dzb = step
+        steps += 1
+        scale = 1.0
+        for _ in range(40):
+            za_try, zb_try = za + scale * dza, zb + scale * dzb
+            trial = residual(za_try, zb_try)
+            value = norm(trial[0], trial[1])
+            if value < best:
+                za, zb, r, best = za_try, zb_try, trial, value
+                break
+            scale *= 0.5
+        else:
+            break
+    return za, zb, r, best, steps
+
+
 # ---------------------------------------------------------------------------
 # Two-value-slice sweep.
 #
@@ -72,8 +125,8 @@ def debruijn_power(
 #     k*z_a*exp(t*z_a - a0) + (n-k)*z_b*exp(t*z_b - a0) = a1
 #
 # on the ordered branch z_a <= z_b.  A bracketing bisection on the reduced
-# one-variable problem supplies the initial point; a damped two-variable
-# Newton (step halving on residual increase) finishes to full precision.
+# one-variable problem supplies the initial point; damped_newton on the
+# two-variable system finishes to full precision.
 # The curvature of the solved slice is reported as
 # second-moment - a1**2 in the same scaled units.
 # ---------------------------------------------------------------------------
@@ -97,17 +150,20 @@ def two_block_sweep(
     n, t, a0, a1 = float(n), float(t), float(a0), float(a1)
     newton_tol, max_newton = float(newton_tol), int(max_newton)
     m = ks.shape[0]
-    za_out = np.empty(m)
-    zb_out = np.empty(m)
-    a2_out = np.empty(m)
+    za_out = np.full(m, np.nan)
+    zb_out = np.full(m, np.nan)
+    a2_out = np.full(m, np.nan)
     ok = np.zeros(m, dtype=np.bool_)
     z_eq = (a0 - np.log(n)) / t
+
+    def direction(za, zb, r):
+        f1, f2, ea, eb = r
+        j21, j22 = ea * (1.0 + t * za), eb * (1.0 + t * zb)
+        return newton_step(t * ea, t * eb, j21, j22, f1, f2)
+
     for i in range(m):
         k = float(ks[i])
         rest = n - k
-        za_out[i] = np.nan
-        zb_out[i] = np.nan
-        a2_out[i] = np.nan
         if k < 1.0 or rest < 1.0:
             continue
         # The ordered branch only reaches mean targets below this limit.
@@ -154,51 +210,17 @@ def two_block_sweep(
             continue
         zb = (a0 + np.log(beta) - np.log(rest)) / t
         # --- Damped Newton on the full two-variable system. ---
-        ea = k * np.exp(t * za - a0)
-        eb = rest * np.exp(t * zb - a0)
-        f1 = ea + eb - 1.0
-        f2 = za * ea + zb * eb - a1
-        best = abs(f1) + abs(f2)
-        converged = best <= newton_tol
-        for _ in range(max_newton):
-            if converged:
-                break
-            j11 = t * ea
-            j12 = t * eb
-            j21 = ea * (1.0 + t * za)
-            j22 = eb * (1.0 + t * zb)
-            det = j11 * j22 - j12 * j21
-            if det == 0.0 or not np.isfinite(det):
-                break
-            dza = -(j22 * f1 - j12 * f2) / det
-            dzb = -(-j21 * f1 + j11 * f2) / det
-            scale = 1.0
-            improved = False
-            for _ in range(40):
-                za_try = za + scale * dza
-                zb_try = zb + scale * dzb
-                ea_try = k * np.exp(t * za_try - a0)
-                eb_try = rest * np.exp(t * zb_try - a0)
-                f1_try = ea_try + eb_try - 1.0
-                f2_try = za_try * ea_try + zb_try * eb_try - a1
-                norm = abs(f1_try) + abs(f2_try)
-                if norm < best:
-                    za, zb, ea, eb, f1, f2, best = (
-                        za_try,
-                        zb_try,
-                        ea_try,
-                        eb_try,
-                        f1_try,
-                        f2_try,
-                        norm,
-                    )
-                    improved = True
-                    break
-                scale *= 0.5
-            if not improved:
-                break
-            converged = best <= newton_tol
-        if not (converged and za <= zb):
+
+        def residual(za, zb):
+            ea = k * np.exp(t * za - a0)
+            eb = rest * np.exp(t * zb - a0)
+            return ea + eb - 1.0, za * ea + zb * eb - a1, ea, eb
+
+        za, zb, (_, _, ea, eb), best, _ = damped_newton(
+            residual, direction, za, zb, newton_tol, max_newton,
+            lambda f1, f2: abs(f1) + abs(f2),
+        )
+        if not (best <= newton_tol and za <= zb):
             continue
         za_out[i] = za
         zb_out[i] = zb

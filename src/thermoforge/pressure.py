@@ -103,7 +103,7 @@ def pressure(potential: CylinderPotential, t: float) -> float:
             "pressure() expects the full shift; use pressure_spectral() "
             "for transition-constrained spaces"
         )
-    t = float(t)
+    t = _finite_parameter(t)
     if potential.window == 1:
         return _logsumexp(t * potential.values)
     return _word_graph_log_radius(potential, t, mask=None)
@@ -150,7 +150,15 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
         potential = CylinderPotential(
             potential.space, 2, np.tile(potential.values, potential.n)
         )
-    return _word_graph_log_radius(potential, float(t), mask=_word_validity_mask(potential))
+    t = _finite_parameter(t)
+    return _word_graph_log_radius(potential, t, mask=_word_validity_mask(potential))
+
+
+def _finite_parameter(t) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"parameter t must be finite, got {t!r}")
+    return t
 
 
 def _word_validity_mask(potential: CylinderPotential) -> np.ndarray:

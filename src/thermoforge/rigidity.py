@@ -97,25 +97,18 @@ def fabc_curvature_parts(
     return -c * t * t, poly2, poly3
 
 
-def _fabc_fourth(a: float, b: float, c: float, t: float) -> float:
-    """Fourth derivative by Richardson differencing of the closed third.
-
-    Differencing the exact third derivative avoids hand-deriving another
-    polynomial layer; the extra differencing step costs accuracy, so
-    consumers should budget about 1e-5 relative error here instead of the
-    1e-6 the closed forms support.
-    """
-
-    def third(u: float) -> float:
-        lw, _, poly3 = fabc_curvature_parts(a, b, c, u)
-        return math.exp(lw) * poly3
-
-    h = 1e-3 * max(1.0, t)
-    if t - h <= 0.0:
-        h = 0.5 * t
-    coarse = (third(t + h) - third(t - h)) / (2.0 * h)
-    fine = (third(t + 0.5 * h) - third(t - 0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
+def _fabc_poly4(c: float, t: float) -> float:
+    """The factor ``poly4`` of the closed ``F'''' = exp(-c*t**2) * poly4``."""
+    return (
+        16.0 * c**4 * t**4
+        + 16.0 * c**4 * t**3
+        - 48.0 * c**3 * t * t
+        - 16.0 * c**3 * t
+        + 12.0 * c * c
+        + 12.0 * c * c / t
+        + 24.0 * c / t**3
+        + 24.0 / t**5
+    )
 
 
 @dataclass(frozen=True)
@@ -298,7 +291,7 @@ def _point_derivs(fn: CandidateFunction, t: float) -> tuple[float, float, float,
         a, b, c = fn.params  # type: ignore[misc]
         lw, poly2, poly3 = fabc_curvature_parts(a, b, c, t)
         weight = math.exp(lw)
-        return weight * poly2, weight * poly3, _fabc_fourth(a, b, c, t), poly2 > 0.0
+        return weight * poly2, weight * poly3, weight * _fabc_poly4(c, t), poly2 > 0.0
     if fn.kind == "potential":
         jet = pressure_jet(fn.potential, t, 4)
         p2, p3, p4 = jet.derivs[2], jet.derivs[3], jet.derivs[4]

@@ -94,6 +94,16 @@ class TestPressureCommand:
         assert proc.stdout == ""
         assert json.loads(out.read_text())["pressure"] > 0.0
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("order", ["0", "2"])
+    def test_non_finite_t_exits_2_and_writes_nothing(self, t, order, potential_file, capsys):
+        # "--t=-inf": a bare "-inf" would parse as a flag.
+        assert cli.main(["pressure", "--potential", potential_file, f"--t={t}",
+                         "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_missing_file_is_domain_error(self):
         proc = run_cli("pressure", "--potential", "/nonexistent.json", "--t", "1.0")
         assert proc.returncode == 2

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _reference_values import EXTREME_PAIR_ROWS, UPPER_BRANCH_ROOT
 from thermoforge import kernels
@@ -223,6 +225,45 @@ class TestFitLevel2:
             fit_level2(Germ(1.0, (2.0, 1.0)), 5)
 
 
+_PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def _feasible_germs(draw, min_n):
+    n = draw(st.integers(min_n, 64))
+    t_star = draw(st.floats(0.2, 3.0))
+    a0 = draw(st.floats(-2.0, 4.0))
+    lower, upper = (a0 - math.log(n)) / t_star, a0 / t_star
+    fraction = draw(st.floats(1e-3, 1.0 - 1e-3))
+    return n, Germ(t_star, (a0, lower + fraction * (upper - lower)))
+
+
+class TestFitProperties:
+    @_PROPERTY_SETTINGS
+    @given(_feasible_germs(min_n=2))
+    def test_level1_round_trips(self, case):
+        n, germ = case
+        result = fit_level1(germ, n)
+        assert len(result.z) == n
+        scale = max(1.0, math.exp(germ.a0))
+        assert result.residuals["value"] <= 1e-10 * scale
+        assert result.residuals["slope"] <= 1e-10 * scale
+
+    @_PROPERTY_SETTINGS
+    @given(_feasible_germs(min_n=3), st.floats(0.0, 1.0))
+    def test_level2_round_trips_inside_the_range(self, case, fraction):
+        n, germ = case
+        low, high = feasible_a2_range(germ, n)
+        target = Germ(germ.t_star, (*germ.coeffs, low + fraction * (high - low)))
+        result = fit_level2(target, n)
+        assert len(result.z) == n
+        assert len(set(result.z)) <= 3
+        assert result.residuals["curvature"] <= 1e-8
+        scale = max(1.0, math.exp(germ.a0))
+        assert result.residuals["value"] <= 1e-9 * scale
+        assert result.residuals["slope"] <= 1e-9 * scale
+
+
 class TestExtremePair:
     @pytest.mark.parametrize("row", EXTREME_PAIR_ROWS[::6] + (EXTREME_PAIR_ROWS[-1],))
     def test_matches_frozen_references(self, row):
@@ -255,6 +296,11 @@ class TestExtremePair:
             logn = k * math.log(10.0)
             remainder = low + logn + math.log(logn)
             assert 1.0 < remainder < 2.0
+
+    @pytest.mark.parametrize("multiplicity, steps", [(1e1, 6), (2.5e3, 5), (1e40, 7)])
+    def test_newton_step_counts(self, multiplicity, steps):
+        # The counts table3 reports (pinned in tests/cli_golden.json).
+        assert solve_extreme_pair_full(multiplicity)["iterations"] == steps
 
     def test_small_multiplicity_rejected(self):
         for bad in (9.999, 0.0, -5.0, math.nan, math.inf):

@@ -1,5 +1,7 @@
 """Tests for the numeric kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,89 @@ class TestSliceSweep:
         assert np.isnan(a2[bad]).all()
         # Degenerate splits (empty block on either side) are never solvable.
         assert not ok[0] and not ok[-1]
+
+
+def _atan_residual(za, zb):
+    return math.atan(za), zb
+
+
+def _atan_direction(za, zb, r):
+    return kernels.newton_step(1.0 / (1.0 + za * za), 0.0, 0.0, 1.0, r[0], r[1])
+
+
+def _l1(f1, f2):
+    return abs(f1) + abs(f2)
+
+
+class TestDampedNewton:
+    def test_newton_step_solves_the_linear_system(self):
+        dza, dzb = kernels.newton_step(2.0, 1.0, 1.0, 3.0, 5.0, 10.0)
+        # J @ (dza, dzb) = -(f1, f2)
+        assert 2.0 * dza + 1.0 * dzb == pytest.approx(-5.0, abs=1e-15)
+        assert 1.0 * dza + 3.0 * dzb == pytest.approx(-10.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "jacobian", [(1.0, 2.0, 2.0, 4.0), (math.inf, 0.0, 0.0, 1.0), (math.nan, 0.0, 0.0, 1.0)]
+    )
+    def test_newton_step_is_none_for_a_singular_jacobian(self, jacobian):
+        assert kernels.newton_step(*jacobian, 1.0, 1.0) is None
+
+    def test_overshooting_step_is_accepted_after_halving(self):
+        # From atan's za = 2 the full Newton step lands at -3.53, where
+        # |atan| is larger than at the start; half the step lands at -0.77.
+        full = -math.atan(2.0) * (1.0 + 4.0)
+        assert abs(math.atan(2.0 + full)) > math.atan(2.0)
+        za, zb, r, best, steps = kernels.damped_newton(
+            _atan_residual, _atan_direction, 2.0, 0.0, 0.0, 1, _l1
+        )
+        assert steps == 1
+        assert za == 2.0 + 0.5 * full
+        assert r == _atan_residual(za, zb)
+        assert best == abs(math.atan(za)) < math.atan(2.0)
+        za, _, _, best, _ = kernels.damped_newton(
+            _atan_residual, _atan_direction, 2.0, 0.0, 1e-15, 60, _l1
+        )
+        assert best <= 1e-15
+        assert abs(za) <= 1e-15
+
+    def test_no_direction_stops_without_raising(self):
+        za, zb, r, best, steps = kernels.damped_newton(
+            _atan_residual, lambda za, zb, r: None, 2.0, 3.0, 0.0, 60, _l1
+        )
+        assert (za, zb, steps) == (2.0, 3.0, 0)
+        assert r == _atan_residual(2.0, 3.0)
+        assert best == math.atan(2.0) + 3.0
+
+    def test_step_without_descent_stops_after_forty_halvings(self):
+        calls = []
+
+        def residual(za, zb):
+            calls.append(za)
+            return za, zb
+
+        za, _, _, best, steps = kernels.damped_newton(
+            residual, lambda za, zb, r: (1.0, 0.0), 1.0, 0.0, 0.0, 60, _l1
+        )
+        assert (za, best, steps) == (1.0, 1.0, 1)
+        assert len(calls) == 1 + 40
+
+    def test_max_iter_is_respected(self):
+        # Newton on za**2 halves za every step and never reaches tol = 0.
+        def residual(za, zb):
+            return za * za, zb
+
+        def direction(za, zb, r):
+            return kernels.newton_step(2.0 * za, 0.0, 0.0, 1.0, r[0], r[1])
+
+        za, _, _, best, steps = kernels.damped_newton(
+            residual, direction, 1.0, 0.0, 0.0, 5, _l1
+        )
+        assert steps == 5
+        assert za == 2.0**-5
+        assert best == 2.0**-10
+
+    def test_converged_start_takes_no_step(self):
+        za, zb, _, best, steps = kernels.damped_newton(
+            _atan_residual, _atan_direction, 0.0, 0.0, 1e-15, 60, _l1
+        )
+        assert (za, zb, best, steps) == (0.0, 0.0, 0.0, 0)

@@ -128,6 +128,15 @@ class TestPressureValues:
         with pytest.raises(UnsupportedConfigurationError):
             pressure(phi, 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_domain_error(self, t):
+        with pytest.raises(DomainError, match="must be finite"):
+            pressure(_phi([0.0, 1.0]), t)
+        with pytest.raises(DomainError, match="must be finite"):
+            pressure(_phi([0.0, 1.0, 0.5, 2.0], window=2), t)
+        with pytest.raises(DomainError, match="must be finite"):
+            pressure_spectral(_phi([0.0, 1.0], transition=((1, 1), (1, 0))), t)
+
 
 class TestPeriodicGraphs:
     """The swap graph has period 2: unshifted power iteration never settles."""

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -300,3 +301,13 @@ class TestRigidityInequalities:
             f2 = lambda u: fabc_derivs(a, b, c, u)[2]  # noqa: E731
             oracle = (f2(t + h) - 2.0 * f2(t) + f2(t - h)) / h**2
             assert report.fourth[i] == pytest.approx(oracle, rel=1e-4, abs=1e-4)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.5])
+    def test_fourth_derivative_matches_high_precision_differentiation(self, c):
+        grid = [0.3, 0.7, 1.0, 1.5, 2.2, 3.1]
+        report = rigidity_inequalities(CandidateFunction.from_fabc(1.0, 1.0, c), grid, 1.0)
+        with mp.workdps(40):
+            for t, fourth in zip(grid, report.fourth):
+                # a*t + b has no fourth derivative; only the Gaussian part remains.
+                exact = mp.diff(lambda u: mp.exp(-c * u * u) * (1 + 1 / u), mp.mpf(t), 4)
+                assert abs(fourth - exact) <= 1e-13 * abs(exact)
