@@ -139,7 +139,7 @@ def discretize(
         values += tail_scale * float(f.max())
     else:
         values += tail_scale * 0.5 * (float(f.min()) + float(f.max()))
-    return CylinderPotential(SubshiftSpec(spec.n), window, values)
+    return CylinderPotential._adopt(SubshiftSpec(spec.n), window, values)
 
 
 def convergence_study(

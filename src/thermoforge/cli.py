@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -39,6 +40,12 @@ _USAGE_EXIT = 64
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with code 64."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only "-1" and "-1.5" as negative numbers, so a value
+        # such as "-1e-3" would be taken for an option; accept exponents too.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

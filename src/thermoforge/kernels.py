@@ -29,13 +29,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Word-graph power iteration.
 #
-# States are words of length w-1 over n symbols, encoded base-n.  Appending
-# symbol j to state u moves to (u % tail) * n + j with tail = n**(w-2), and
-# traverses the length-w word u * n + j whose (already exponentiated, scaled)
-# weight is weights[u * n + j].  The kernel returns the leading eigenvalue of
-# the weighted adjacency plus sigma times the identity; sigma > 0 breaks
-# periodic stalls without changing the answer (the eigenvalue shifts by
-# exactly sigma).
+# States are words of length w-1 over n symbols, encoded base-n, and the
+# length-w word u * n + j carries the (already exponentiated, scaled) weight
+# weights[u * n + j].  Appending symbol j to state u moves to
+# (u % tail) * n + j with tail = n**(w-2).  Writing u = a * tail + b, the
+# weights reshape to W[a, b, j] and the successor of (u, j) is entry [b, j]
+# of x reshaped to (tail, n), so one step of the iteration is the
+# contraction y[a, b] = sum_j W[a, b, j] * x[b, j]: no index array, no
+# gathered copy.  The kernel returns the leading eigenvalue of the weighted
+# adjacency plus sigma times the identity; sigma > 0 breaks periodic stalls
+# without changing the answer (the eigenvalue shifts by exactly sigma).
 # ---------------------------------------------------------------------------
 
 
@@ -50,19 +53,21 @@ def debruijn_power(
     """Leading eigenvalue of the word-graph transfer matrix plus ``sigma*I``.
 
     ``weights`` holds one non-negative weight per length-``w`` word in
-    base-``n`` order; ``tail`` is ``n**(w-2)`` (1 for ``w = 2``).  Returns
-    ``(eigenvalue, iterations, converged)``.
+    base-``n`` order; ``tail`` is ``n**(w-2)`` (1 for ``w = 2``).  Each
+    step contracts the weights, viewed as ``(n, tail, n)``, with the
+    iterate viewed as ``(tail, n)``.  Returns ``(eigenvalue, iterations,
+    converged)``.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     n, tail, tol, max_iter = int(n), int(tail), float(tol), int(max_iter)
     sigma = float(sigma)
     n_states = weights.shape[0] // n
-    table = weights.reshape(n_states, n)
-    idx = (np.arange(n_states) % tail)[:, None] * n + np.arange(n)[None, :]
+    table = weights.reshape(n, tail, n)
     x = np.full(n_states, 1.0 / n_states)
     lam = 0.0
     for it in range(max_iter):
-        y = (table * x[idx]).sum(axis=1) + sigma * x
+        # Plain einsum: optimize=True routes this through a slower path.
+        y = np.einsum("abj,bj->ab", table, x.reshape(tail, n)).reshape(-1) + sigma * x
         lam = y.sum()
         residual = np.abs(y - lam * x).sum()
         x = y / lam

@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     NumericError,
     OrderLimitError,
-    SizeLimitError,
     UnsupportedConfigurationError,
 )
 from .symbolic import CylinderPotential, equilibrium_weights
@@ -43,7 +42,6 @@ __all__ = [
 MAX_JET_ORDER = 12
 _POWER_TOL = 1e-13
 _POWER_MAX_ITER = 100_000
-_PAIRWISE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def pressure(potential: CylinderPotential, t: float) -> float:
     t = _finite_parameter(t)
     if potential.window == 1:
         return _logsumexp(t * potential.values)
-    return _word_graph_log_radius(potential, t, mask=None)
+    return _word_graph_log_radius(potential, t)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -147,11 +145,11 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
     if not potential.space.irreducible:
         raise DomainError("transition matrix is not irreducible")
     if potential.window == 1:
-        potential = CylinderPotential(
+        potential = CylinderPotential._adopt(
             potential.space, 2, np.tile(potential.values, potential.n)
         )
     t = _finite_parameter(t)
-    return _word_graph_log_radius(potential, t, mask=_word_validity_mask(potential))
+    return _word_graph_log_radius(potential, t)
 
 
 def _finite_parameter(t) -> float:
@@ -175,17 +173,18 @@ def _word_validity_mask(potential: CylinderPotential) -> np.ndarray:
     return mask
 
 
-def _word_graph_log_radius(
-    potential: CylinderPotential, t: float, mask: np.ndarray | None
-) -> float:
+def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
     n, w = potential.n, potential.window
-    scaled = t * potential.values
-    if mask is not None:
+    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer;
+    # the word mask is dropped before the power iteration starts.
+    weights = np.multiply(t, potential.values)
+    if not potential.space.is_full_shift:
         # Forbidden words get weight exp(-inf) = 0 and so cannot set the
         # scale; the largest allowed weight is 1, comparable to sigma below.
-        scaled = np.where(mask > 0.0, scaled, -np.inf)
-    shift = float(scaled.max())
-    weights = np.exp(scaled - shift)
+        np.copyto(weights, -np.inf, where=_word_validity_mask(potential) <= 0.0)
+    shift = float(weights.max())
+    weights -= shift
+    np.exp(weights, out=weights)
     tail = n ** (w - 2)
     # A periodic graph has several eigenvalues on the spectral circle and
     # never converges unshifted; the shift sigma*I makes it primitive.
@@ -248,18 +247,16 @@ def q_values(z, t: float) -> QValues:
     """Evaluate the four constraint sums at values ``z`` and parameter ``t``.
 
     All four quantities share one max-subtracted scale so extreme inputs
-    cannot overflow; the pair-sum ``q2`` is computed directly and audited
-    against the identity ``q2 = q0*r2 - q1**2`` before returning.
+    cannot overflow.  The pair sum equals ``q0`` times the weighted spread
+    about the mean ``q1/q0``, so ``q2`` comes from that centred sum in
+    O(n) (the stable two-pass weighted variance) and is audited against
+    the identity ``q2 = q0*r2 - q1**2`` before returning.
     """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if z.size == 0:
         raise DomainError("q_values requires at least one value")
     if not np.all(np.isfinite(z)):
         raise DomainError("q_values requires finite values")
-    if z.size > _PAIRWISE_LIMIT:
-        raise SizeLimitError(
-            f"q_values pair sum supports up to {_PAIRWISE_LIMIT} values, got {z.size}"
-        )
     t = float(t)
     scaled = t * z
     shift = float(scaled.max())
@@ -267,9 +264,8 @@ def q_values(z, t: float) -> QValues:
     q0 = float(ey.sum())
     q1 = float(z @ ey)
     r2 = float((z * z) @ ey)
-    diff = z[:, None] - z[None, :]
-    pair_weight = ey[:, None] * ey[None, :]
-    q2 = 0.5 * float((diff * diff * pair_weight).sum())
+    centred = z - q1 / q0
+    q2 = q0 * float((centred * centred) @ ey)
     residual = abs(q2 - (q0 * r2 - q1 * q1))
     tolerance = 1e-12 * abs(q2) + 1e-14 * abs(q0 * r2) + 1e-300
     if residual > tolerance:

@@ -136,6 +136,23 @@ class CylinderPotential:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, space: SubshiftSpec, window: int, values: np.ndarray) -> "CylinderPotential":
+        """Internal constructor that takes over a fresh float64 array.
+
+        Runs the public constructor's checks and marks ``values`` read-only
+        instead of copying it, so the caller must not keep writing to it.
+        """
+        potential = object.__new__(cls)
+        object.__setattr__(potential, "space", space)
+        object.__setattr__(potential, "window", window)
+        object.__setattr__(potential, "values", values)
+        potential._freeze(copy=False)
+        return potential
+
+    def _freeze(self, copy: bool) -> None:
         if int(self.window) < 1:
             raise DomainError(f"window must be >= 1, got {self.window}")
         object.__setattr__(self, "window", int(self.window))
@@ -144,7 +161,8 @@ class CylinderPotential:
             raise SizeLimitError(
                 f"table size {self.space.n}**{self.window} exceeds {MAX_TABLE_SIZE}"
             )
-        arr = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
+        # With numpy >= 2, copy=False raises rather than copy a non-float64 array.
+        arr = np.array(self.values, dtype=np.float64, copy=copy).reshape(-1)
         if arr.size != size:
             raise DomainError(f"expected {size} values, got {arr.size}")
         if not np.all(np.isfinite(arr)):
@@ -158,7 +176,7 @@ class CylinderPotential:
 
     def shifted(self, offset: float) -> "CylinderPotential":
         """Same potential with ``offset`` added to every value."""
-        return CylinderPotential(self.space, self.window, self.values + float(offset))
+        return CylinderPotential._adopt(self.space, self.window, self.values + float(offset))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,12 @@ class TestPressureCommand:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
+    def test_negative_exponent_value_is_a_number(self, potential_file, capsys):
+        assert cli.main(["pressure", "--potential", potential_file, "--t", "-1e-3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["t"] == -1e-3
+        assert payload["pressure"] == pytest.approx(math.log(1.0 + math.exp(-1e-3)), rel=1e-15)
+
     def test_missing_file_is_domain_error(self):
         proc = run_cli("pressure", "--potential", "/nonexistent.json", "--t", "1.0")
         assert proc.returncode == 2
@@ -122,6 +128,13 @@ class TestFitCommands:
         assert payload["achieved_jet"]["derivs"][0] == pytest.approx(2.0, abs=1e-12)
         assert payload["achieved_jet"]["derivs"][1] == pytest.approx(1.0, abs=1e-10)
         assert payload["residuals"]["value"] <= 1e-10 * math.exp(2.0)
+
+    def test_fit1_negative_exponent_target(self, capsys):
+        argv = ["fit1", "--tstar", "1", "--a0", "2", "--a1", "-2.5e-2", "--n", "11"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["germ"] == [2.0, -0.025]
+        assert payload["achieved_jet"]["derivs"][1] == pytest.approx(-0.025, abs=1e-10)
 
     def test_fit1_infeasible_exits_2(self):
         proc = run_cli("fit1", "--tstar", "1", "--a0", "2", "--a1", "2", "--n", "3")

@@ -14,7 +14,6 @@ from thermoforge import kernels
 from thermoforge.errors import (
     DomainError,
     OrderLimitError,
-    SizeLimitError,
     UnsupportedConfigurationError,
 )
 from thermoforge.pressure import (
@@ -212,6 +211,30 @@ class TestWordValidityMask:
         assert peak < 3 * mask.nbytes
 
 
+class TestPeakMemory:
+    """Temporaries of a word-graph pressure, as a multiple of the table."""
+
+    @staticmethod
+    def _peak_ratio(evaluate, phi):
+        tracemalloc.start()
+        try:
+            evaluate(phi, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / phi.values.nbytes
+
+    def test_full_shift_wide_window(self):
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, 2**18)
+        phi = CylinderPotential(SubshiftSpec(2), 18, values)
+        assert self._peak_ratio(pressure, phi) < 3.5
+
+    def test_golden_mean_wide_window(self):
+        values = np.random.default_rng(4).uniform(-1.0, 1.0, 2**16)
+        phi = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 16, values)
+        assert self._peak_ratio(pressure_spectral, phi) < 3.5
+
+
 class TestPressureProperties:
     def test_convexity_in_parameter(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -326,8 +349,14 @@ class TestQValues:
             q_values([], 1.0)
         with pytest.raises(DomainError):
             q_values([0.0, np.nan], 1.0)
-        with pytest.raises(SizeLimitError):
-            q_values(np.zeros(2049), 1.0)
+
+    def test_large_input_satisfies_identity(self):
+        # 10**5 values: the pair sum would be a 10**10-entry matrix.
+        z = np.random.default_rng(41).normal(size=100_000)
+        q = q_values(z, 0.8)
+        residual = abs(q.q2 - (q.q0 * q.r2 - q.q1**2))
+        assert q.q2 > 0.0
+        assert residual <= 1e-12 * abs(q.q2) + 1e-12 * abs(q.q0 * q.r2)
 
 
 class TestDerivativeVerification:

@@ -134,6 +134,21 @@ class TestCylinderPotential:
         phi = _full_shift_potential([0.0, 1.0])
         assert np.array_equal(phi.shifted(2.5).values, [2.5, 3.5])
 
+    def test_adopt_takes_the_array_and_keeps_the_checks(self):
+        values = np.array([0.0, 1.0, 2.0, 3.0])
+        phi = CylinderPotential._adopt(SubshiftSpec(2), 2, values)
+        assert np.shares_memory(phi.values, values)
+        with pytest.raises(ValueError):
+            phi.values[0] = 1.0
+        with pytest.raises(DomainError):
+            CylinderPotential._adopt(SubshiftSpec(2), 2, np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(DomainError):
+            CylinderPotential._adopt(SubshiftSpec(2), 1, np.array([1.0, np.inf]))
+        with pytest.raises(DomainError):
+            CylinderPotential._adopt(SubshiftSpec(2), 0, np.array([1.0]))
+        with pytest.raises(SizeLimitError):
+            CylinderPotential._adopt(SubshiftSpec(2), 27, np.zeros(1))
+
 
 class TestEquilibriumWeights:
     def test_zero_temperature_parameter_gives_uniform(self):
