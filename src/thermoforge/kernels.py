@@ -29,16 +29,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Word-graph power iteration.
 #
-# States are words of length w-1 over n symbols, encoded base-n, and the
-# length-w word u * n + j carries the (already exponentiated, scaled) weight
-# weights[u * n + j].  Appending symbol j to state u moves to
-# (u % tail) * n + j with tail = n**(w-2).  Writing u = a * tail + b, the
-# weights reshape to W[a, b, j] and the successor of (u, j) is entry [b, j]
-# of x reshaped to (tail, n), so one step of the iteration is the
-# contraction y[a, b] = sum_j W[a, b, j] * x[b, j]: no index array, no
-# gathered copy.  The kernel returns the leading eigenvalue of the weighted
-# adjacency plus sigma times the identity; sigma > 0 breaks periodic stalls
-# without changing the answer (the eigenvalue shifts by exactly sigma).
+# States are words of length w-1 over n symbols, encoded base-n; appending
+# symbol j to state u = a * tail + b (tail = n**(w-2)) moves to b * n + j.
+# The kernel takes its weights last-symbol-major: weights[j * n_states + u]
+# is the (already exponentiated, scaled) weight of the length-w word
+# u * n + j.  Viewed as table[j, a, b], one step is the contraction
+# y[a, b] = sum_j table[j, a, b] * x[b, j], with the iterate x copied into
+# xt[j, b] = x[b, j] first, so numpy's inner loop runs along the long b
+# axis rather than over the n symbols.  x, y and xt are the only
+# state-sized buffers (xt is scratch for the shift and the residual once
+# the contraction has read it); nothing is allocated per step.  The
+# kernel returns the leading eigenvalue of the weighted adjacency plus
+# sigma times the identity; sigma > 0 breaks periodic stalls without
+# changing the answer (the eigenvalue shifts by exactly sigma).
 # ---------------------------------------------------------------------------
 
 
@@ -52,25 +55,34 @@ def debruijn_power(
 ) -> tuple[float, int, bool]:
     """Leading eigenvalue of the word-graph transfer matrix plus ``sigma*I``.
 
-    ``weights`` holds one non-negative weight per length-``w`` word in
-    base-``n`` order; ``tail`` is ``n**(w-2)`` (1 for ``w = 2``).  Each
-    step contracts the weights, viewed as ``(n, tail, n)``, with the
-    iterate viewed as ``(tail, n)``.  Returns ``(eigenvalue, iterations,
+    ``weights`` holds one non-negative weight per length-``w`` word,
+    last-symbol-major: the word ``u * n + j`` (state ``u``, appended
+    symbol ``j``) at ``weights[j * n_states + u]``, i.e. the base-``n``
+    order reshaped to ``(n_states, n)`` and transposed.  ``tail`` is
+    ``n**(w-2)`` (1 for ``w = 2``).  Returns ``(eigenvalue, iterations,
     converged)``.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     n, tail, tol, max_iter = int(n), int(tail), float(tol), int(max_iter)
     sigma = float(sigma)
-    n_states = weights.shape[0] // n
-    table = weights.reshape(n, tail, n)
+    n_states = weights.size // n
+    table = weights.reshape(n, n, tail)
     x = np.full(n_states, 1.0 / n_states)
+    y = np.empty(n_states)
+    xt = np.empty((n, tail))
+    y_ab, x_bj, scratch = y.reshape(n, tail), x.reshape(tail, n), xt.reshape(-1)
     lam = 0.0
     for it in range(max_iter):
+        np.copyto(xt, x_bj.T)
         # Plain einsum: optimize=True routes this through a slower path.
-        y = np.einsum("abj,bj->ab", table, x.reshape(tail, n)).reshape(-1) + sigma * x
+        np.einsum("jab,jb->ab", table, xt, out=y_ab)
+        if sigma != 0.0:
+            y += np.multiply(sigma, x, out=scratch)
         lam = y.sum()
-        residual = np.abs(y - lam * x).sum()
-        x = y / lam
+        np.multiply(lam, x, out=scratch)
+        np.subtract(y, scratch, out=scratch)
+        residual = np.abs(scratch, out=scratch).sum()
+        np.divide(y, lam, out=x)
         if residual <= tol * lam:
             return lam, it + 1, True
     return lam, max_iter, False

@@ -175,13 +175,16 @@ def _word_validity_mask(potential: CylinderPotential) -> np.ndarray:
 
 def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
     n, w = potential.n, potential.window
-    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer;
-    # the word mask is dropped before the power iteration starts.
-    weights = np.multiply(t, potential.values)
+    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer,
+    # written straight into the kernel's last-symbol-major (n, n_states)
+    # layout; the word mask is dropped before the power iteration starts.
+    weights = np.multiply(t, potential.values.reshape(-1, n).T, order="C")
     if not potential.space.is_full_shift:
         # Forbidden words get weight exp(-inf) = 0 and so cannot set the
         # scale; the largest allowed weight is 1, comparable to sigma below.
-        np.copyto(weights, -np.inf, where=_word_validity_mask(potential) <= 0.0)
+        np.copyto(
+            weights, -np.inf, where=_word_validity_mask(potential).reshape(-1, n).T <= 0.0
+        )
     shift = float(weights.max())
     weights -= shift
     np.exp(weights, out=weights)

@@ -317,6 +317,16 @@ def _d_value(fn: CandidateFunction, t: float, p2: float, p3: float, ok: bool) ->
     return p3 / p2 - math.sqrt(2.0 * math.pi * p2)
 
 
+def _scan(fn: CandidateFunction, grid):
+    """The checked grid, and per point ``(F'', F''', F'''', ok, D)`` as columns."""
+    pts = _check_grid(fn, grid)
+    rows = []
+    for t in pts:
+        p2, p3, p4, ok = _point_derivs(fn, t)
+        rows.append((p2, p3, p4, ok, _d_value(fn, t, p2, p3, ok)))
+    return pts, tuple(zip(*rows))
+
+
 def divergence_diagnostic(
     fn: CandidateFunction, grid
 ) -> tuple[tuple[float, ...], tuple[bool, ...]]:
@@ -328,14 +338,8 @@ def divergence_diagnostic(
     closed family the diagnostic behaves like ``-2*c*t`` for large ``t``,
     so its magnitude grows without bound.
     """
-    pts = _check_grid(fn, grid)
-    d_values = []
-    flags = []
-    for t in pts:
-        p2, p3, _, ok = _point_derivs(fn, t)
-        flags.append(ok)
-        d_values.append(_d_value(fn, t, p2, p3, ok))
-    return tuple(d_values), tuple(flags)
+    _, (_, _, _, flags, d_values) = _scan(fn, grid)
+    return d_values, flags
 
 
 def rigidity_inequalities(fn: CandidateFunction, grid, m_phi: float) -> RigidityReport:
@@ -352,18 +356,10 @@ def rigidity_inequalities(fn: CandidateFunction, grid, m_phi: float) -> Rigidity
     m_phi = float(m_phi)
     if not (math.isfinite(m_phi) and m_phi >= 0.0):
         raise DomainError(f"m_phi must be a non-negative real, got {m_phi!r}")
-    pts = _check_grid(fn, grid)
-    second, third, fourth = [], [], []
-    d_values, flags = [], []
+    pts, (second, third, fourth, flags, d_values) = _scan(fn, grid)
     cubic_lhs, cubic_rhs, cubic_holds = [], [], []
     quartic_lhs, quartic_rhs, quartic_holds = [], [], []
-    for t in pts:
-        p2, p3, p4, ok = _point_derivs(fn, t)
-        second.append(p2)
-        third.append(p3)
-        fourth.append(p4)
-        flags.append(ok)
-        d_values.append(_d_value(fn, t, p2, p3, ok))
+    for p2, p3, p4 in zip(second, third, fourth):
         if p2 >= 0.0:
             gate = _SQRT_2PI * p2**1.5
             c_lhs = abs(p3 * (1.0 - gate))
@@ -395,11 +391,11 @@ def rigidity_inequalities(fn: CandidateFunction, grid, m_phi: float) -> Rigidity
     }
     return RigidityReport(
         grid=pts,
-        second=tuple(second),
-        third=tuple(third),
-        fourth=tuple(fourth),
-        d_values=tuple(d_values),
-        curvature_ok=tuple(flags),
+        second=second,
+        third=third,
+        fourth=fourth,
+        d_values=d_values,
+        curvature_ok=flags,
         cubic_lhs=tuple(cubic_lhs),
         cubic_rhs=tuple(cubic_rhs),
         cubic_holds=tuple(cubic_holds),

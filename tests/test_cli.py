@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import thermoforge
 from thermoforge import cli
 from thermoforge.errors import DomainError, NumericError
 from thermoforge.pressure import pressure
@@ -17,10 +20,16 @@ TWO_POINT = {"n": 2, "window": 1, "values": [0.0, 1.0]}
 GOLDEN_DECAY = {"n": 2, "f": [0.0, 1.0], "r": 0.5}
 
 
-def run_cli(*argv, stdin_text=None, env_extra=None):
-    import os
-
+def _child_env():
+    """The environment with the tested package first on the child's path."""
     env = dict(os.environ)
+    src = str(Path(thermoforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_cli(*argv, stdin_text=None, env_extra=None):
+    env = _child_env()
     env.pop("THERMOFORGE_SEED", None)
     if env_extra:
         env.update(env_extra)
@@ -422,7 +431,11 @@ def test_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

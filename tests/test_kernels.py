@@ -8,6 +8,16 @@ import pytest
 from thermoforge import kernels
 
 
+def _dense_word_graph(weights, n, tail):
+    """Dense transfer matrix of base-``n``-ordered word weights."""
+    n_states = weights.size // n
+    dense = np.zeros((n_states, n_states))
+    for u in range(n_states):
+        for j in range(n):
+            dense[u, (u % tail) * n + j] += weights[u * n + j]
+    return dense
+
+
 class TestPowerIteration:
     def test_matches_dense_eigenvalue(self):
         rng = np.random.default_rng(7)
@@ -20,9 +30,27 @@ class TestPowerIteration:
             for j in range(n):
                 dense[u, (u % tail) * n + j] += weights[u * n + j]
         expected = np.abs(np.linalg.eigvals(dense)).max()
-        lam, _, converged = kernels.debruijn_power(weights, n, tail)
+        lam, _, converged = kernels.debruijn_power(
+            weights.reshape(-1, n).T.ravel(), n, tail
+        )
         assert converged
         assert lam == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "n, window, sigma",
+        [(2, 2, 0.0), (4, 2, 0.0), (5, 3, 0.0), (2, 5, 1.0), (3, 3, 1.0)],
+    )
+    def test_layout_against_eigvals(self, n, window, sigma):
+        rng = np.random.default_rng(100 * n + window)
+        weights = np.exp(rng.uniform(-1.0, 1.0, size=n**window))
+        tail = n ** (window - 2)
+        dense = _dense_word_graph(weights, n, tail)
+        expected = np.abs(np.linalg.eigvals(dense)).max()
+        lam, _, converged = kernels.debruijn_power(
+            weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma
+        )
+        assert converged
+        assert lam - sigma == pytest.approx(expected, rel=1e-10)
 
     def test_sigma_shifts_eigenvalue_by_exactly_sigma(self):
         rng = np.random.default_rng(11)

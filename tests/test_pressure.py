@@ -7,6 +7,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.special import logsumexp
 
@@ -227,12 +229,17 @@ class TestPeakMemory:
     def test_full_shift_wide_window(self):
         values = np.random.default_rng(3).uniform(-1.0, 1.0, 2**18)
         phi = CylinderPotential(SubshiftSpec(2), 18, values)
-        assert self._peak_ratio(pressure, phi) < 3.5
+        assert self._peak_ratio(pressure, phi) < 3.0
+
+    def test_three_symbols_wide_window(self):
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, 3**11)
+        phi = CylinderPotential(SubshiftSpec(3), 11, values)
+        assert self._peak_ratio(pressure, phi) < 2.5
 
     def test_golden_mean_wide_window(self):
         values = np.random.default_rng(4).uniform(-1.0, 1.0, 2**16)
         phi = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 16, values)
-        assert self._peak_ratio(pressure_spectral, phi) < 3.5
+        assert self._peak_ratio(pressure_spectral, phi) < 3.0
 
 
 class TestPressureProperties:
@@ -259,6 +266,118 @@ class TestPressureProperties:
         high = low + rng.uniform(0.0, 0.5, size=4)
         for t in (0.5, 1.0, 2.0):
             assert pressure(_phi(low), t) <= pressure(_phi(high), t) + 1e-14
+
+
+# Transition matrices of random-graph potentials: the full shift and two
+# aperiodic graphs.  Periodic graphs lose accuracy once the weight spread
+# is wide (see test_periodic_graph_with_wide_weight_spread).
+_GRAPHS = {
+    2: (None, ((1, 1), (1, 0))),
+    3: (None, ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+}
+_INVARIANT_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+_VALUES = st.floats(-2.0, 2.0)
+
+
+def _any_pressure(phi, t):
+    return pressure(phi, t) if phi.space.is_full_shift else pressure_spectral(phi, t)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-11 * max(1.0, abs(a))
+
+
+@st.composite
+def _potentials(draw, min_window=1):
+    n = draw(st.sampled_from((2, 3)))
+    window = draw(st.integers(min_window, 4 if n == 2 else 3))
+    transition = draw(st.sampled_from(_GRAPHS[n]))
+    values = draw(st.lists(_VALUES, min_size=n**window, max_size=n**window))
+    return CylinderPotential(SubshiftSpec(n, transition), window, values)
+
+
+def _rebuild(phi, values, window=None):
+    return CylinderPotential(phi.space, window or phi.window, values)
+
+
+class TestPressureInvariants:
+    """Invariants of pressure on random graphs and windows (Walters, ch. 9)."""
+
+    @_INVARIANT_SETTINGS
+    @given(_potentials(), _VALUES, _VALUES)
+    def test_convex_in_parameter(self, phi, t1, t2):
+        middle = _any_pressure(phi, 0.5 * (t1 + t2))
+        chord = 0.5 * (_any_pressure(phi, t1) + _any_pressure(phi, t2))
+        assert middle <= chord + 1e-11 * max(1.0, abs(chord))
+
+    @_INVARIANT_SETTINGS
+    @given(_potentials(), st.data(), st.floats(0.0, 2.0))
+    def test_monotone_in_potential(self, phi, data, t):
+        bump = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=phi.values.size, max_size=phi.values.size)
+        )
+        higher = _rebuild(phi, phi.values + np.array(bump))
+        low, high = _any_pressure(phi, t), _any_pressure(higher, t)
+        assert low <= high + 1e-11 * max(1.0, abs(high))
+
+    @_INVARIANT_SETTINGS
+    @given(_potentials(), st.data(), _VALUES)
+    def test_lipschitz_in_sup_norm(self, phi, data, t):
+        offsets = data.draw(
+            st.lists(_VALUES, min_size=phi.values.size, max_size=phi.values.size)
+        )
+        other = _rebuild(phi, phi.values + np.array(offsets))
+        gap = abs(_any_pressure(phi, t) - _any_pressure(other, t))
+        bound = abs(t) * max(abs(x) for x in offsets)
+        assert gap <= bound + 1e-11 * max(1.0, bound)
+
+    @_INVARIANT_SETTINGS
+    @given(_potentials(min_window=2), st.data(), _VALUES)
+    def test_coboundary_invariance(self, phi, data, t):
+        # g - g∘σ for g on (w-1)-words: word x_0..x_{w-1} gets
+        # g(x_0..x_{w-2}) - g(x_1..x_{w-1}).
+        n_states = phi.values.size // phi.n
+        g = np.array(data.draw(st.lists(_VALUES, min_size=n_states, max_size=n_states)))
+        words = np.arange(phi.values.size)
+        coboundary = g[words // phi.n] - g[words % n_states]
+        moved = _rebuild(phi, phi.values + coboundary)
+        assert _close(_any_pressure(moved, t), _any_pressure(phi, t))
+
+    @_INVARIANT_SETTINGS
+    @given(_potentials(), _VALUES)
+    def test_window_lift_invariance(self, phi, t):
+        # Ignoring an appended symbol (repeat) or a prepended one (tile,
+        # i.e. phi∘σ) leaves the pressure unchanged.
+        expected = _any_pressure(phi, t)
+        for lifted in (np.repeat(phi.values, phi.n), np.tile(phi.values, phi.n)):
+            assert _close(_any_pressure(_rebuild(phi, lifted, phi.window + 1), t), expected)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the periodic-graph shift sigma=1 is scaled to the largest "
+        "weight, not to the spectral radius",
+    )
+    def test_periodic_graph_with_wide_weight_spread(self):
+        # A coboundary on the 3-cycle has pressure exactly 0, but its largest
+        # weight is exp(3t) times the spectral radius: at t=2 the answer is
+        # off by 2e-11, 200 times the iteration's tolerance (at t=4 the
+        # iteration does not converge at all).
+        three_cycle = SubshiftSpec(3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+        g = np.array([0.0, 2.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+        words = np.arange(27)
+        phi = CylinderPotential(three_cycle, 3, g[words // 3] - g[words % 9])
+        assert abs(pressure_spectral(phi, 2.0)) <= 1e-12
+
+    @_INVARIANT_SETTINGS
+    @given(st.lists(_VALUES, min_size=2, max_size=6), st.floats(0.2, 2.0))
+    def test_jet_agrees_with_finite_differences(self, values, t_star):
+        phi = _phi(values)
+        analytic = pressure_jet(phi, t_star, 4)
+        numeric = finite_difference_jet(phi, t_star, 4)
+        for k in range(5):
+            scale = max(1.0, abs(analytic.derivs[k]))
+            assert abs(numeric.derivs[k] - analytic.derivs[k]) <= 1e-6 * scale
 
 
 class TestPressureJet:
