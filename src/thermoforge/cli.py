@@ -300,7 +300,7 @@ def _cmd_cltsim(args: argparse.Namespace) -> int:
         "sample_mean": report["sample_means"],
         "sample_variance": report["sample_variances"],
     }
-    keys = ("deltas", "first_m_below_bound", "samples_per_m", "workers")
+    keys = ("deltas", "first_m_below_bound", "samples_per_m")
     comments = {key: report[key] for key in keys}
     manifest = _manifest(args, digests, seed=seed)
     return _render(args, manifest, {"report": report}, "thermoforge.cltsim.v1", columns, comments)
@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="orbit lengths, e.g. 100,1000,10000")
     p.add_argument("--samples", type=int, required=True, help="samples per orbit length")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (THERMOFORGE_SEED overrides)")
-    p.add_argument("--threads", type=int, default=1, help="worker stream count")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (results do not depend on it)")
     p.add_argument("--out", choices=["json", "csv"], default="json")
     p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_cltsim)

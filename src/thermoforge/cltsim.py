@@ -11,22 +11,24 @@ pressure cumulants ``d2, d3, d4``.  The bound is recorded, never
 asserted: it is an asymptotic statement, and the report notes the first
 orbit length at which the empirical distance falls below it.
 
-Streams are counter-based and keyed by (seed, orbit-length index, worker
-index), so a fixed seed and worker count reproduce reports bit for bit
-regardless of scheduling.
+Each orbit length's samples are cut into fixed blocks of ``_BLOCK`` draws,
+each with its own counter-based stream keyed by (seed, orbit-length index,
+block index), so a fixed seed reproduces reports bit for bit whatever the
+worker count and scheduling.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePotentialError, DomainError
+from .errors import DegeneratePotentialError, DomainError, SizeLimitError
 from .pressure import pressure_jet
-from .symbolic import CylinderPotential, equilibrium_weights
+from .symbolic import MAX_TABLE_SIZE, CylinderPotential, equilibrium_weights
 
 __all__ = [
     "MIN_SAMPLES",
@@ -38,17 +40,19 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 10_000
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one simulation run.
 
-    ``orbit_lengths`` must be strictly increasing; ``samples_per_m`` is
-    the number of independent orbits drawn per length and must be at
-    least ``MIN_SAMPLES`` so the statistical noise (~1/sqrt(samples))
-    stays small against the tested bounds.  ``workers`` splits each
-    length's sampling into that many independent streams.
+    ``orbit_lengths`` must be strictly increasing and below 2**63;
+    ``samples_per_m`` is the number of independent orbits drawn per
+    length and must be at least ``MIN_SAMPLES`` so the statistical noise
+    (~1/sqrt(samples)) stays small against the tested bounds, and at most
+    ``MAX_TABLE_SIZE``.  ``workers`` is the most threads that draw the
+    sample blocks; the report does not depend on it.
     """
 
     potential: CylinderPotential
@@ -72,8 +76,8 @@ class SimConfig:
         lengths = tuple(int(m) for m in self.orbit_lengths)
         if not lengths:
             raise DomainError("orbit_lengths must be non-empty")
-        if any(m < 1 for m in lengths):
-            raise DomainError(f"orbit lengths must be positive, got {lengths}")
+        if any(not 1 <= m < 2**63 for m in lengths):
+            raise DomainError(f"orbit lengths must lie in [1, 2**63), got {lengths}")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise DomainError(f"orbit lengths must be strictly increasing, got {lengths}")
         samples = int(self.samples_per_m)
@@ -81,6 +85,8 @@ class SimConfig:
             raise DomainError(
                 f"samples_per_m must be at least {MIN_SAMPLES}, got {samples}"
             )
+        if samples > MAX_TABLE_SIZE:
+            raise SizeLimitError(f"samples_per_m exceeds {MAX_TABLE_SIZE}, got {samples}")
         seed = int(self.seed)
         if not 0 <= seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed!r}")
@@ -115,7 +121,6 @@ class CltReport:
     sample_variances: tuple[float, ...]
     samples_per_m: int
     seed: int
-    workers: int
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +134,6 @@ class CltReport:
             "sample_variances": list(self.sample_variances),
             "samples_per_m": self.samples_per_m,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
 
@@ -149,21 +153,21 @@ def _sample_sums(
     values: np.ndarray,
     probabilities: np.ndarray,
     m: int,
-    block: int,
+    size: int,
     seed: int,
     m_idx: int,
-    worker_idx: int,
+    block_idx: int,
 ) -> np.ndarray:
-    """Orbit sums for one (orbit length, worker) cell via symbol counts."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(m_idx, worker_idx))
+    """Orbit sums for one (orbit length, block) cell via symbol counts."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(m_idx, block_idx))
     rng = np.random.Generator(np.random.Philox(seq))
-    counts = rng.multinomial(m, probabilities, size=block)
+    counts = rng.multinomial(m, probabilities, size=size)
     return counts.astype(np.float64) @ values
 
 
-def _block_sizes(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF ``0.5 * erfc(-x / sqrt(2))``, accurate in both tails."""
+    return 0.5 * np.fromiter(map(math.erfc, (x * -math.sqrt(0.5)).tolist()), np.float64, x.size)
 
 
 def simulate_gm(config: SimConfig) -> CltReport:
@@ -171,11 +175,10 @@ def simulate_gm(config: SimConfig) -> CltReport:
 
     The potential is centered internally; cumulants come from the order-4
     pressure jet at ``t_star``.  For each orbit length the scaled sums
-    are tested against N(0, d2) with the one-sample KS statistic.
-    Identical seed and worker count give a bit-identical report.
+    are tested against N(0, d2) with the one-sample KS statistic.  Streams
+    are keyed by sample block, so an identical seed gives a bit-identical
+    report for any worker count.
     """
-    from scipy.special import ndtr  # imported here to keep scipy off ``import thermoforge``
-
     centered = center_potential(config.potential, config.t_star)
     jet = pressure_jet(centered, config.t_star, 4)
     d2, d3, d4 = jet.derivs[2], jet.derivs[3], jet.derivs[4]
@@ -186,7 +189,8 @@ def simulate_gm(config: SimConfig) -> CltReport:
     weights = equilibrium_weights(centered, config.t_star)
     probabilities = weights.as_array()
     values = np.asarray(centered.values)
-    sizes = _block_sizes(config.samples_per_m, config.workers)
+    samples = config.samples_per_m
+    sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
     sigma = math.sqrt(d2)
 
     ks_distances = []
@@ -194,33 +198,28 @@ def simulate_gm(config: SimConfig) -> CltReport:
     variances = []
     bounds = []
     first_m = None
-    for m_idx, m in enumerate(config.orbit_lengths):
-        cells = [
-            (m_idx, w_idx, block) for w_idx, block in enumerate(sizes) if block > 0
-        ]
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            blocks = list(
-                pool.map(
-                    lambda cell: _sample_sums(
-                        values, probabilities, m, cell[2], config.seed, cell[0], cell[1]
-                    ),
-                    cells,
-                )
+    with ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
+        for m_idx, m in enumerate(config.orbit_lengths):
+            blocks = pool.map(
+                lambda cell: _sample_sums(
+                    values, probabilities, m, cell[1], config.seed, m_idx, cell[0]
+                ),
+                enumerate(sizes),
             )
-        scaled = np.sort(np.concatenate(blocks) / math.sqrt(m))
-        n_samples = len(scaled)
-        cdf = ndtr(scaled / sigma)
-        steps = np.arange(1, n_samples + 1, dtype=np.float64) / n_samples
-        ks = float(max((steps - cdf).max(), (cdf - (steps - 1.0 / n_samples)).max()))
-        bound = (9.0 * abs(d3) + 2.0 * abs(d4)) / (
-            math.sqrt(2.0 * math.pi**3 * m) * d2**1.5
-        )
-        ks_distances.append(ks)
-        bounds.append(bound)
-        means.append(float(scaled.mean()))
-        variances.append(float(scaled.var(ddof=1)))
-        if first_m is None and ks <= bound:
-            first_m = m
+            scaled = np.sort(np.concatenate(list(blocks)) / math.sqrt(m))
+            n_samples = len(scaled)
+            cdf = _ndtr(scaled / sigma)
+            steps = np.arange(1, n_samples + 1, dtype=np.float64) / n_samples
+            ks = float(max((steps - cdf).max(), (cdf - (steps - 1.0 / n_samples)).max()))
+            bound = (9.0 * abs(d3) + 2.0 * abs(d4)) / (
+                math.sqrt(2.0 * math.pi**3 * m) * d2**1.5
+            )
+            ks_distances.append(ks)
+            bounds.append(bound)
+            means.append(float(scaled.mean()))
+            variances.append(float(scaled.var(ddof=1)))
+            if first_m is None and ks <= bound:
+                first_m = m
     return CltReport(
         orbit_lengths=config.orbit_lengths,
         ks_distances=tuple(ks_distances),
@@ -232,7 +231,6 @@ def simulate_gm(config: SimConfig) -> CltReport:
         sample_variances=tuple(variances),
         samples_per_m=config.samples_per_m,
         seed=config.seed,
-        workers=config.workers,
     )
 
 

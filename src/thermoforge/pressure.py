@@ -108,12 +108,12 @@ def pressure(potential: CylinderPotential, t: float) -> float:
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """``log(sum(exp(a)))`` with the arithmetic of ``scipy.special.logsumexp``.
+    """``log(sum(exp(a)))``, bit for bit the max-shifted ``logsumexp`` oracle of the tests.
 
     Every entry equal to the max leaves the shifted sum and is counted, so
     ties, as fitted potentials have, add exactly ``log(count)``.  A
     non-finite result (an infinite or nan entry) falls back to the direct
-    formula, as scipy does.
+    formula, as the oracle does.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = a.max()

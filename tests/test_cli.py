@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -282,6 +283,40 @@ class TestCltsimCommand:
             "m", "ks_distance", "bound", "sample_mean", "sample_variance",
         ]
 
+    def test_stdout_does_not_depend_on_threads(self, potential_file, capsys, monkeypatch):
+        monkeypatch.delenv("THERMOFORGE_SEED", raising=False)
+        for out in ("json", "csv"):
+            outputs = []
+            for threads in (1, 2, 3):
+                assert cli.main([
+                    "cltsim", "--potential", potential_file, "--tstar", "0",
+                    "--m", "100,400", "--samples", "10000", "--seed", "7",
+                    "--threads", str(threads), "--out", out,
+                ]) == 0
+                text = capsys.readouterr().out
+                flag = f'"threads": {threads}'
+                assert text.count(flag) == 1
+                outputs.append(text.replace(flag, ""))
+            assert outputs == [outputs[0]] * 3
+
+    @pytest.mark.parametrize(
+        "sizes, error",
+        [
+            (["--m", "1e300", "--samples", "10000"], "2\\*\\*63"),
+            (["--m", "100", "--samples", "1000000000000000000000"], "exceeds"),
+        ],
+    )
+    def test_huge_sizes_exit_2_before_sampling(
+        self, sizes, error, potential_file, capsys, monkeypatch
+    ):
+        def never(config):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(cli, "simulate_gm", never)
+        assert cli.main(["cltsim", "--potential", potential_file, "--tstar", "0", *sizes]) == 2
+        err = capsys.readouterr().err
+        assert "domain error" in err and re.search(error, err)
+
     def test_constant_potential_exits_2(self, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"n": 2, "window": 1, "values": [1.0, 1.0]}))
@@ -428,6 +463,9 @@ class TestOutsideInput:
 def test_import_loads_no_scipy():
     code = (
         "import sys, thermoforge, thermoforge.cli; "
+        "from thermoforge.cltsim import SimConfig, simulate_gm; "
+        "phi = thermoforge.CylinderPotential(thermoforge.SubshiftSpec(2), 1, [0.0, 1.0]); "
+        "simulate_gm(SimConfig(phi, 0.5, (10,), 10_000, 1, 2)); "
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run(

@@ -1,20 +1,24 @@
 """Monte Carlo orbit-sum simulation against the limiting normal law."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from thermoforge import cltsim
 from thermoforge.cltsim import (
     MIN_SAMPLES,
     CltReport,
     SimConfig,
+    _ndtr,
     center_potential,
     edgeworth_correction,
     simulate_gm,
 )
-from thermoforge.errors import DegeneratePotentialError, DomainError
-from thermoforge.symbolic import CylinderPotential, SubshiftSpec
+from thermoforge.errors import DegeneratePotentialError, DomainError, SizeLimitError
+from thermoforge.symbolic import MAX_TABLE_SIZE, CylinderPotential, SubshiftSpec
 
 
 def _phi(values):
@@ -92,6 +96,16 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             _config(samples_per_m=MIN_SAMPLES - 1)
 
+    def test_rejects_huge_lengths_and_sample_counts(self):
+        assert _config(orbit_lengths=(1, 2**63 - 1)).orbit_lengths == (1, 2**63 - 1)
+        for lengths in ((2**63,), (10, 1e300)):
+            with pytest.raises(DomainError, match="2\\*\\*63"):
+                _config(orbit_lengths=lengths)
+        assert _config(samples_per_m=MAX_TABLE_SIZE).samples_per_m == MAX_TABLE_SIZE
+        for samples in (MAX_TABLE_SIZE + 1, 10**21):
+            with pytest.raises(SizeLimitError):
+                _config(samples_per_m=samples)
+
     def test_rejects_bad_seed_and_workers(self):
         with pytest.raises(DomainError):
             _config(seed=-1)
@@ -131,15 +145,32 @@ class TestSimulateGm:
         other = simulate_gm(_config(seed=8))
         assert base.ks_distances != other.ks_distances
 
-    def test_worker_count_changes_stream_layout_but_stays_deterministic(self):
+    def test_reports_do_not_depend_on_workers(self):
+        # 10,000 samples span three blocks, so every width splits them.
+        assert MIN_SAMPLES > 2 * cltsim._BLOCK
         serial = simulate_gm(_config(workers=1))
-        threaded_a = simulate_gm(_config(workers=4))
-        threaded_b = simulate_gm(_config(workers=4))
-        assert threaded_a == threaded_b
-        # Different worker counts consume different stream keys.
-        assert serial.ks_distances != threaded_a.ks_distances
-        assert serial.workers == 1
-        assert threaded_a.workers == 4
+        assert simulate_gm(_config(workers=2)) == serial
+        assert simulate_gm(_config(workers=3)) == serial
+
+    def test_pool_width_is_capped_by_cpu_count(self, monkeypatch):
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cltsim, "ThreadPoolExecutor", SerialPool)
+        simulate_gm(_config(workers=10**6))
+        assert widths == [min(10**6, os.cpu_count() or 1)]
 
     def test_sample_moments_match_theory(self):
         report = simulate_gm(_config(orbit_lengths=(400,), samples_per_m=20_000))
@@ -185,7 +216,12 @@ class TestSimulateGm:
         payload = report.to_dict()
         assert payload["orbit_lengths"] == [100]
         assert payload["seed"] == 7
+        assert "workers" not in payload
         assert isinstance(payload["deltas"], list)
+
+    def test_normal_cdf_matches_reference(self):
+        x = np.linspace(-37.0, 8.0, 90_001)
+        np.testing.assert_allclose(_ndtr(x), ndtr(x), rtol=1e-13, atol=0.0)
 
 
 class TestEdgeworthCorrection:
