@@ -132,57 +132,76 @@ def _columns(rows: list[dict]) -> dict:
     return {key: [row[key] for row in rows] for key in rows[0]}
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_float(token: str, flag: str) -> float:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        value = float(token)
     except ValueError:
-        raise DomainError(f"{flag} expects a comma-separated number list, got {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{flag} expects finite numbers, got {text!r}")
+        raise DomainError(f"{flag} expects numbers, got {token!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{flag} expects finite numbers, got {token!r}")
+    return value
+
+
+def _parse_integer(token: str, flag: str) -> int:
+    """Exact value of an integral token such as ``12``, ``1e3`` or ``12.0``."""
+    # Imported here so that importing the CLI does not load it (about 0.3 MB).
+    from decimal import Decimal, InvalidOperation
+
+    try:
+        value = Decimal(token)
+    except InvalidOperation:
+        raise DomainError(f"{flag} expects integers, got {token!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise DomainError(f"{flag} expects integers, got {token!r}")
+    # Bounded before the conversion, which would build 10**k for a token 1ek.
+    if value.copy_abs() >= 2**63:
+        raise DomainError(f"{flag} expects integers below 2**63 in magnitude, got {token!r}")
+    return int(value)
+
+
+def _parse_list(text: str, flag: str, number) -> list:
+    """Comma-separated tokens, each read by ``number(token, flag)``."""
+    values = [number(tok, flag) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise DomainError(f"{flag} must name at least one point")
     return values
 
 
 _MAX_GRID_POINTS = 10**6
 
 
-def _parse_grid(text: str, flag: str) -> list[float]:
-    """Parse ``start:end[:step]`` (inclusive) or a comma-separated list."""
-    if ":" not in text:
-        values = _parse_float_list(text, flag)
-        if not values:
-            raise DomainError(f"{flag} must name at least one point")
-        return values
+def _parse_range(text: str, flag: str, number) -> tuple:
+    """Checked ``(start, end, step)`` of ``start:end[:step]``, read by ``number``."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise DomainError(f"{flag} expects start:end[:step], got {text!r}")
-    try:
-        start = float(parts[0])
-        end = float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
-    except ValueError:
-        raise DomainError(f"{flag} expects numeric bounds, got {text!r}") from None
-    if not all(map(math.isfinite, (start, end, step))):
-        raise DomainError(f"{flag} expects finite bounds, got {text!r}")
-    if step <= 0.0:
+    start, end = number(parts[0], flag), number(parts[1], flag)
+    step = number(parts[2], flag) if len(parts) == 3 else 1
+    if step <= 0:
         raise DomainError(f"{flag} step must be positive, got {step!r}")
     if end < start:
         raise DomainError(f"{flag} end must not precede start, got {text!r}")
     # Checked before any list is built; a quotient that overflows to inf fails too.
-    span = (end - start) / step
-    if not span < _MAX_GRID_POINTS:
+    if not (end - start) / step < _MAX_GRID_POINTS:
         raise DomainError(f"{flag} spans more than {_MAX_GRID_POINTS} points, got {text!r}")
-    count = int(math.floor(span + 1e-9)) + 1
+    return start, end, step
+
+
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """Parse ``start:end[:step]`` (inclusive) or a comma-separated list."""
+    if ":" not in text:
+        return _parse_list(text, flag, _parse_float)
+    start, end, step = _parse_range(text, flag, _parse_float)
+    count = int(math.floor((end - start) / step + 1e-9)) + 1
     return [start + k * step for k in range(count)]
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    values = []
-    for raw in _parse_grid(text, flag):
-        value = int(round(raw))
-        if abs(raw - value) > 1e-9:
-            raise DomainError(f"{flag} expects integers, got {raw!r}")
-        values.append(value)
-    return values
+    """Like ``_parse_grid``, in exact integer arithmetic."""
+    if ":" not in text:
+        return _parse_list(text, flag, _parse_integer)
+    start, end, step = _parse_range(text, flag, _parse_integer)
+    return list(range(start, end + 1, step))
 
 
 def _load_potential(path: str) -> tuple[CylinderPotential, dict]:
@@ -359,12 +378,19 @@ def _selftest_checks():
             assert err < 1e-6, (k, err)
 
     def check_envelopes():
-        spec = DecayingPotentialSpec(2, (0.0, 1.0), 0.5)
-        rows = convergence_study(spec, 1.0, [1, 2, 3, 4])
+        spec, t = DecayingPotentialSpec(2, (0.0, 1.0), 0.5), 1.0
+        rows = convergence_study(spec, t, [1, 2, 3, 4])
         gaps = [row.gap for row in rows]
         assert all(b <= a for a, b in zip(gaps, gaps[1:])), gaps
         p_infs = [row.p_inf for row in rows]
         assert all(b >= a - 1e-12 for a, b in zip(p_infs, p_infs[1:])), p_infs
+        # Each head term r**k f[x_k] is cohomologous to r**k f[x_0], so the
+        # spectrally solved lower envelope has a closed form.
+        for row in rows:
+            decay = spec.r**row.window
+            head = sum(math.exp(t * x * (1.0 - decay) / (1.0 - spec.r)) for x in spec.f)
+            exact = math.log(head) + t * decay / (1.0 - spec.r) * min(spec.f)
+            assert abs(row.p_inf - exact) <= 1e-12 * abs(exact), (row.window, row.p_inf, exact)
 
     yield "faa-di-bruno-golden", check_partitions
     yield "extreme-pair-row-10", check_extreme_pair

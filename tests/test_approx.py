@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from thermoforge import approx
 from thermoforge.approx import (
     ConvergenceRow,
     DecayingPotentialSpec,
@@ -174,6 +175,24 @@ class TestConvergenceStudy:
             assert row.gap == pytest.approx(0.0, abs=1e-14)
             # Pressure is log 2 plus the full geometric sum of the decay.
             assert row.p_inf == pytest.approx(math.log(2.0) + 2.0, rel=1e-12)
+
+    def test_one_pressure_solve_per_window(self, monkeypatch):
+        windows = []
+
+        def counting(potential, t):
+            windows.append(potential.window)
+            return pressure(potential, t)
+
+        monkeypatch.setattr(approx, "pressure", counting)
+        convergence_study(GOLDEN, 1.3, (1, 2, 4, 7))
+        assert windows == [1, 2, 4, 7]
+
+    def test_upper_envelope_is_lower_plus_tail_span(self):
+        spec = DecayingPotentialSpec(3, (0.3, -0.7, 0.9), 0.7)
+        for t in (1.3, -1.3):
+            for row in convergence_study(spec, t, range(1, 7)):
+                assert row.p_sup == row.p_inf + abs(t) * spec.tail_span(row.window)
+                assert row.gap == row.p_sup - row.p_inf
 
     def test_window_validation(self):
         with pytest.raises(DomainError):

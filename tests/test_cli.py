@@ -317,6 +317,31 @@ class TestCltsimCommand:
         err = capsys.readouterr().err
         assert "domain error" in err and re.search(error, err)
 
+    @pytest.mark.parametrize(
+        "m, lengths",
+        [
+            ("9007199254740993", (9007199254740993,)),
+            ("100000000000000001,100000000000000003", (100000000000000001, 100000000000000003)),
+            ("9007199254740993:9007199254740997:2",
+             (9007199254740993, 9007199254740995, 9007199254740997)),
+            ("1e3,2000.0", (1000, 2000)),
+        ],
+    )
+    def test_orbit_lengths_are_exact_integers(self, m, lengths, potential_file, monkeypatch):
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            raise _Recorded
+
+        monkeypatch.setattr(cli, "simulate_gm", record)
+        with pytest.raises(_Recorded):
+            cli.main([
+                "cltsim", "--potential", potential_file, "--tstar", "0",
+                "--m", m, "--samples", "10000",
+            ])
+        assert [config.orbit_lengths for config in configs] == [lengths]
+
     def test_constant_potential_exits_2(self, tmp_path):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"n": 2, "window": 1, "values": [1.0, 1.0]}))
@@ -325,6 +350,10 @@ class TestCltsimCommand:
             "--m", "100", "--samples", "10000",
         )
         assert proc.returncode == 2
+
+
+class _Recorded(Exception):
+    """Raised by a fake ``simulate_gm`` once it has recorded its config."""
 
 
 class TestApproxCommand:
@@ -439,6 +468,13 @@ class TestOutsideInput:
              "--samples", "10000"],
             ["rigidity", "--a", "1", "--b", "1", "--c", "1", "--grid", "0:1e9:1e-3",
              "--mphi", "0.5"],
+            ["approx", "--spec", "decay.json", "--t", "1.0", "--windows", "1,2.0000000005"],
+            ["cltsim", "--potential", "potential.json", "--tstar", "0", "--m", "2.0000000005",
+             "--samples", "10000"],
+            ["cltsim", "--potential", "potential.json", "--tstar", "0", "--m", "10:20:2.5",
+             "--samples", "10000"],
+            ["cltsim", "--potential", "potential.json", "--tstar", "0", "--m", "1:1000001",
+             "--samples", "10000"],
         ],
     )
     def test_exits_2(self, argv, potential_file, decay_file, tmp_path, monkeypatch, capsys):
