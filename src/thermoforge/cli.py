@@ -392,6 +392,20 @@ def _selftest_checks():
             exact = math.log(head) + t * decay / (1.0 - spec.r) * min(spec.f)
             assert abs(row.p_inf - exact) <= 1e-12 * abs(exact), (row.window, row.p_inf, exact)
 
+    def check_word_graph_closed_forms():
+        c, t = (0.3, -0.4), 1.2
+        # Golden mean: B = [[a, b], [a, 0]] has Perron root (a + sqrt(a^2 + 4ab)) / 2.
+        a, b = math.exp(t * c[0]), math.exp(t * c[1])
+        golden = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 1, c)
+        exact = math.log((a + math.sqrt(a * a + 4.0 * a * b)) / 2.0)
+        value = pressure_spectral(golden, t)
+        assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
+        # The swap graph has period 2 and runs the sigma-shifted iteration.
+        swap = CylinderPotential(SubshiftSpec(2, ((0, 1), (1, 0))), 1, c)
+        exact = t * (c[0] + c[1]) / 2.0
+        value = pressure_spectral(swap, t)
+        assert abs(value - exact) <= 1e-12, (value, exact)
+
     yield "faa-di-bruno-golden", check_partitions
     yield "extreme-pair-row-10", check_extreme_pair
     yield "scalar-branch-inversion", check_invert_zexp
@@ -399,6 +413,7 @@ def _selftest_checks():
     yield "q-identity-audit", check_q_identity
     yield "jet-vs-finite-differences", check_jet_vs_differences
     yield "envelope-monotonicity", check_envelopes
+    yield "word-graph-closed-forms", check_word_graph_closed_forms
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

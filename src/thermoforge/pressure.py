@@ -192,8 +192,9 @@ def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
     # A periodic graph has several eigenvalues on the spectral circle and
     # never converges unshifted; the shift sigma*I makes it primitive.
     sigmas = (1.0,) if potential.space.period > 1 else (0.0, 1.0)
+    tried = []
     for sigma in sigmas:
-        lam, _, converged = kernels.debruijn_power(
+        lam, iterations, converged = kernels.debruijn_power(
             weights, n, tail, _POWER_TOL, _POWER_MAX_ITER, sigma
         )
         if converged:
@@ -201,9 +202,8 @@ def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
             if radius <= 0.0:
                 raise NumericError("transfer matrix has non-positive leading eigenvalue")
             return shift + math.log(radius)
-    raise ConvergenceError(
-        f"power iteration did not converge within {_POWER_MAX_ITER} iterations"
-    )
+        tried.append(f"sigma={sigma:g} after {iterations} iterations")
+    raise ConvergenceError("power iteration did not converge: " + ", ".join(tried))
 
 
 def pressure_jet(potential: CylinderPotential, t_star: float, order: int) -> TaylorJet:

@@ -384,6 +384,7 @@ class TestSelftestCommand:
         proc = run_cli("selftest")
         assert proc.returncode == 0
         assert proc.stdout.count("ok - ") >= 7
+        assert "ok - word-graph-closed-forms" in proc.stdout
         assert "FAIL" not in proc.stdout
         assert "all checks passed" in proc.stdout
 

@@ -1,9 +1,12 @@
 """Tests for the numeric kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoforge import kernels
 
@@ -59,6 +62,45 @@ class TestPowerIteration:
         lam1, _, c1 = kernels.debruijn_power(weights, 2, 4, sigma=0.25)
         assert c0 and c1
         assert lam1 - 0.25 == pytest.approx(lam0, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        window=st.integers(2, 4),
+        sigma=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_against_eigvals(self, n, window, sigma, seed):
+        weights = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, size=n**window))
+        tail = n ** (window - 2)
+        expected = np.abs(np.linalg.eigvals(_dense_word_graph(weights, n, tail))).max()
+        lam, iterations, converged = kernels.debruijn_power(
+            weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma
+        )
+        assert converged
+        assert iterations % 4 == 0
+        assert lam - sigma == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("max_iter", range(1, 10))
+    def test_last_allowed_step_is_tested(self, max_iter):
+        # All-ones weights on n=2, tail 1: the uniform start is already the
+        # eigenvector, so whichever step is tested first passes.
+        lam, iterations, converged = kernels.debruijn_power(np.ones(4), 2, 1, max_iter=max_iter)
+        assert converged
+        assert iterations <= max_iter
+        assert lam == 2.0
+
+    def test_peak_memory_is_the_three_state_buffers(self):
+        n, window = 2, 14
+        weights = np.exp(np.random.default_rng(13).uniform(-1.0, 1.0, size=n**window))
+        state_bytes = 8 * n ** (window - 1)
+        tracemalloc.start()
+        try:
+            kernels.debruijn_power(weights, n, n ** (window - 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * state_bytes
 
     def test_reports_unconverged_when_iterations_run_out(self):
         weights = np.exp(np.linspace(-1.0, 1.0, 16))

@@ -1,5 +1,6 @@
 """Pressure values, derivative jets, and the constraint-sum quadruple."""
 
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from scipy.special import logsumexp
 
 from thermoforge import kernels
 from thermoforge.errors import (
+    ConvergenceError,
     DomainError,
     OrderLimitError,
     UnsupportedConfigurationError,
@@ -170,6 +172,18 @@ class TestPeriodicGraphs:
         phi = CylinderPotential(self.SWAP, 2, values)
         assert pressure_spectral(phi, 1.3) == pytest.approx(1.3 * (0.2 + 0.9) / 2, abs=1e-12)
         assert 0 < sum(iterations) <= 100
+
+
+def test_unconverged_solve_names_each_shift_and_its_iterations(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("thermoforge.pressure"), "_POWER_MAX_ITER", 3)
+    values = np.random.default_rng(9).uniform(-1.0, 1.0, 2**14)
+    phi = CylinderPotential(SubshiftSpec(2), 14, values)
+    with pytest.raises(ConvergenceError) as err:
+        pressure(phi, 0.7)
+    assert str(err.value) == (
+        "power iteration did not converge: "
+        "sigma=0 after 3 iterations, sigma=1 after 3 iterations"
+    )
 
 
 class TestLogSumExp:
