@@ -10,11 +10,13 @@ through ``repr`` (shortest round-trip form).
 Exit codes: 0 success, 2 domain/feasibility violations, 3 numeric
 non-convergence, 64 usage errors.  The environment variable
 ``THERMOFORGE_SEED`` overrides ``--seed`` where one applies.
+``main()`` builds its parser once per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -120,8 +122,11 @@ def _render(args, manifest, payload, schema=None, columns=None, comments=None) -
         lines += [",".join(_fmt(cell) for cell in row) for row in zip(*columns.values())]
         text = "\n".join(lines) + "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise DomainError(f"cannot write output file {args.output!r}: {err}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -520,9 +525,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, reused by every later one.
+
+    A parse leaves no state in the parser; each call gets a fresh namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as err:

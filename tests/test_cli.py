@@ -415,12 +415,21 @@ class TestExitCodeMapping:
         parser = cli.build_parser()
         args = parser.parse_args(["selftest"])
         monkeypatch.setattr(args, "func", explode, raising=False)
-        monkeypatch.setattr(
-            cli, "build_parser", lambda: _FixedParser(parser, args)
-        )
+        # main() reaches its parser through the cache accessor, so stub that.
+        monkeypatch.setattr(cli, "_parser", lambda: _FixedParser(parser, args))
         code = cli.main(["selftest"])
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_unwritable_output_maps_to_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        argv = ["fit1", "--tstar", "1.25", "--a0", "0.8", "--a1", "0.3", "--n", "7",
+                "--output", str(target)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "domain error" in captured.err
+        assert "cannot write output file" in captured.err
+        assert captured.out == ""
 
 
 class _FixedParser:
@@ -514,3 +523,22 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_parser_is_built_on_first_use_only():
+    code = (
+        "import thermoforge.cli as cli; "
+        "print(cli._parser.cache_info().currsize); "
+        "print(cli.build_parser() is not cli.build_parser()); "
+        "print(cli._parser.cache_info().currsize); "
+        "print(cli._parser() is cli._parser())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", "0", "True"]

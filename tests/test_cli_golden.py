@@ -14,6 +14,8 @@ import os
 import pathlib
 import tempfile
 
+import pytest
+
 from thermoforge import cli
 
 FIXTURE = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -43,17 +45,22 @@ ARGVS = [
 ] + [argv + ["--out", fmt] for argv in _TABLES for fmt in ("json", "csv")]
 
 
-def _run_all(directory: pathlib.Path) -> list[dict]:
-    """Write the input files into ``directory`` (the cwd) and run every argv."""
+def _write_files(directory: pathlib.Path) -> None:
     for name, text in FILES.items():
         (directory / name).write_text(text, encoding="utf-8")
-    cases = []
-    for argv in ARGVS:
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main(argv)
-        cases.append({"argv": argv, "code": code, "stdout": buffer.getvalue()})
-    return cases
+
+
+def _run(argv: list) -> dict:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(argv)
+    return {"argv": argv, "code": code, "stdout": buffer.getvalue()}
+
+
+def _run_all(directory: pathlib.Path) -> list[dict]:
+    """Write the input files into ``directory`` (the cwd) and run every argv."""
+    _write_files(directory)
+    return [_run(argv) for argv in ARGVS]
 
 
 def test_fixture_covers_every_invocation():
@@ -69,6 +76,36 @@ def test_stdout_is_byte_identical(tmp_path, monkeypatch):
     for expected, actual in zip(recorded, _run_all(tmp_path)):
         assert actual["code"] == expected["code"] == 0, actual["argv"]
         assert actual["stdout"] == expected["stdout"], actual["argv"]
+
+
+def test_one_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    """The cached parser, reused in reverse order with usage errors in between."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("THERMOFORGE_SEED", raising=False)
+    _write_files(tmp_path)
+    recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))["cases"]
+    for expected in reversed(recorded):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["table3", "--frob"])
+        assert usage.value.code == 64
+        actual = _run(expected["argv"])
+        assert actual["code"] == expected["code"] == 0, actual["argv"]
+        assert actual["stdout"] == expected["stdout"], actual["argv"]
+
+    argv = next(case["argv"] for case in recorded if case["argv"][0] == "cltsim")
+    flag = argv.index("--seed") + 1
+    monkeypatch.setenv("THERMOFORGE_SEED", "7")
+    from_env = _run(argv)
+    monkeypatch.delenv("THERMOFORGE_SEED")
+    from_flag = _run(argv[:flag] + ["7"] + argv[flag + 1:])
+    assert from_env["code"] == from_flag["code"] == 0
+    env_out, flag_out = json.loads(from_env["stdout"]), json.loads(from_flag["stdout"])
+    # The manifest records the --seed flag as given; everything else must agree.
+    assert env_out["manifest"]["flags"].pop("seed") == 11
+    assert flag_out["manifest"]["flags"].pop("seed") == 7
+    assert env_out == flag_out
+    expected = next(case for case in recorded if case["argv"] == argv)
+    assert _run(argv)["stdout"] == expected["stdout"]
 
 
 if __name__ == "__main__":
