@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +178,9 @@ def simulate_gm(config: SimConfig) -> CltReport:
     are keyed by sample block, so an identical seed gives a bit-identical
     report for any worker count.
     """
+    # Imported here so that importing the package does not load the thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     centered = center_potential(config.potential, config.t_star)
     jet = pressure_jet(centered, config.t_star, 4)
     d2, d3, d4 = jet.derivs[2], jet.derivs[3], jet.derivs[4]

@@ -13,6 +13,7 @@ on its monotone branches.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -151,7 +152,9 @@ def feasible_a2_range(germ: Germ, n: int) -> tuple[float, float]:
     the minimum and maximum of the resulting curvatures form an inner
     approximation of the exact attainable range (richer value patterns
     could widen it).  Splits whose solver fails are skipped with a
-    warning; all splits failing is an error.
+    warning; all splits failing is an error.  The solved splits are kept,
+    so a following :func:`fit_level2` of the same ``(t_star, a0, a1, n)``
+    reuses them instead of sweeping again.
     """
     n = _check_size_int(n)
     _require_feasible(germ, n)
@@ -167,7 +170,9 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
     returned directly; intermediate targets are reached by sliding one
     coordinate continuously between the low and high values of a
     bracketing pair of splits, re-solving the value/slope constraints at
-    every step.
+    every step.  The split sweep is shared with the last
+    :func:`feasible_a2_range` or :func:`fit_level2` call of the same
+    ``(t_star, a0, a1, n)``, so check-then-fit solves every split once.
     """
     n = _check_size_int(n)
     if germ.a2 is None:
@@ -226,15 +231,13 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
 def _sweep(germ: Germ, n: int):
     """Solve every ordered split ``(k, n-k)`` and keep the converged ones.
 
-    Returns ``(ks, z_low, z_high, curvature)`` arrays of the converged
-    splits.  Splits that could match the slope target but whose solver
-    failed are skipped with a warning; no converged split, or a negative
-    curvature from one, is an error.
+    Returns read-only ``(ks, z_low, z_high, curvature)`` arrays of the
+    converged splits.  Splits that could match the slope target but whose
+    solver failed are skipped with a warning; no converged split, or a
+    negative curvature from one, is an error.
     """
     ks = np.arange(1, n, dtype=np.int64)
-    za, zb, a2, ok = kernels.two_block_sweep(
-        ks, float(n), germ.t_star, germ.a0, germ.a1, _NEWTON_TOL
-    )
+    za, zb, a2, ok = _split_table(germ.t_star, germ.a0, germ.a1, n)
     failed = int(np.count_nonzero(_slope_reachable(germ, n, ks) & ~ok))
     if failed:
         # Level 3 is the user's call of feasible_a2_range or fit_level2.
@@ -246,11 +249,30 @@ def _sweep(germ: Germ, n: int):
         raise NumericError(
             f"no two-value split converged for germ={germ.coeffs}, n={n}"
         )
-    ks, za, zb, a2 = ks[ok], za[ok], zb[ok], a2[ok]
-    low = float(a2.min())
+    converged = ks[ok], za[ok], zb[ok], a2[ok]
+    low = float(converged[3].min())
     if low < -1e-10:
         raise NumericError(f"negative curvature {low} from a converged split")
-    return ks, za, zb, a2
+    for array in converged:
+        array.flags.writeable = False
+    return converged
+
+
+@functools.lru_cache(maxsize=1)
+def _split_table(t_star: float, a0: float, a1: float, n: int):
+    """The raw ``(z_low, z_high, curvature, ok)`` sweep over ``k = 1 .. n-1``.
+
+    One entry serves the check-then-fit flow (:func:`feasible_a2_range`,
+    then :func:`fit_level2` on the same germ) and holds at most one table,
+    25 bytes per split.  The arrays are read-only since later calls share
+    them.  The kernel is looked up on every miss, so a replaced
+    ``kernels.two_block_sweep`` is the one that runs.
+    """
+    ks = np.arange(1, n, dtype=np.int64)
+    table = kernels.two_block_sweep(ks, float(n), t_star, a0, a1, _NEWTON_TOL)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _bracketing_pair(feasible, target):
@@ -433,6 +455,8 @@ def invert_zexp(y: float, branch: str, t_star: float) -> float:
     if branch not in ("lower", "upper"):
         raise DomainError(f"branch must be 'lower' or 'upper', got {branch!r}")
     y = float(y)
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
     junction = -1.0 / t_star
     minimum = -math.exp(-1.0) / t_star
     if y < minimum - 1e-15 * abs(minimum):
@@ -446,16 +470,24 @@ def invert_zexp(y: float, branch: str, t_star: float) -> float:
         return z * math.exp(t_star * z)
 
     if branch == "upper":
+
+        def below(z: float) -> bool:
+            # An exp that overflows is above every finite y.
+            try:
+                return s(z) < y
+            except OverflowError:
+                return False
+
         lo = junction
         hi = max(junction + 1.0, 1.0)
         step = 1.0
-        while s(hi) < y:
+        while below(hi):
             step *= 2.0
             hi += step
         # increasing branch: s(lo) <= y <= s(hi)
         for _ in range(500):
             mid = 0.5 * (lo + hi)
-            if s(mid) < y:
+            if below(mid):
                 lo = mid
             else:
                 hi = mid

@@ -525,6 +525,26 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_thread_pool_loads_with_the_first_simulation():
+    code = (
+        "import sys, thermoforge, thermoforge.cli; "
+        "print('concurrent.futures' in sys.modules); "
+        "from thermoforge.cltsim import SimConfig, simulate_gm; "
+        "phi = thermoforge.CylinderPotential(thermoforge.SubshiftSpec(2), 1, [0.0, 1.0]); "
+        "simulate_gm(SimConfig(phi, 0.5, (10,), 10_000, 1, 2)); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_parser_is_built_on_first_use_only():
     code = (
         "import thermoforge.cli as cli; "

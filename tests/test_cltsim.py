@@ -1,5 +1,6 @@
 """Monte Carlo orbit-sum simulation against the limiting normal law."""
 
+import concurrent.futures
 import math
 import os
 
@@ -168,7 +169,7 @@ class TestSimulateGm:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(cltsim, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         simulate_gm(_config(workers=10**6))
         assert widths == [min(10**6, os.cpu_count() or 1)]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference_values import EXTREME_PAIR_ROWS, UPPER_BRANCH_ROOT
-from thermoforge import kernels
+from thermoforge import germfit, kernels
 from thermoforge.errors import (
     DomainError,
     FeasibilityError,
@@ -181,6 +181,42 @@ class TestFeasibleCurvatureRange:
         assert {w.filename for w in [*range_warnings, *fit_warnings]} == {__file__}
 
 
+class TestSweepReuse:
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        calls = []
+        original = kernels.two_block_sweep
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "two_block_sweep", counting)
+        return calls
+
+    def test_check_then_fit_sweeps_once(self, monkeypatch):
+        calls = self._count_sweeps(monkeypatch)
+        low, high = feasible_a2_range(Germ(1.0, (2.0, 1.0)), 12)
+        result = fit_level2(Germ(1.0, (2.0, 1.0, 0.5 * (low + high))), 12)
+        assert result.feasible_a2 == (low, high)
+        assert calls == [11]
+
+    def test_changed_slope_or_size_sweeps_again(self, monkeypatch):
+        calls = self._count_sweeps(monkeypatch)
+        feasible_a2_range(Germ(1.0, (2.0, 1.0)), 12)
+        feasible_a2_range(Germ(1.0, (2.0, 1.1)), 12)
+        feasible_a2_range(Germ(1.0, (2.0, 1.1)), 13)
+        feasible_a2_range(Germ(1.0, (2.0, 1.1)), 13)
+        assert calls == [11, 11, 12]
+
+    def test_sweep_arrays_are_read_only(self):
+        germ = Germ(1.0, (2.0, 1.0))
+        for _ in range(2):  # the cold and the cached table
+            for array in germfit._sweep(germ, 12):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+
 class TestFitLevel2:
     def test_intermediate_targets(self):
         rng = np.random.Generator(np.random.Philox(107))
@@ -262,6 +298,20 @@ class TestFitProperties:
         scale = max(1.0, math.exp(germ.a0))
         assert result.residuals["value"] <= 1e-9 * scale
         assert result.residuals["slope"] <= 1e-9 * scale
+
+    @_PROPERTY_SETTINGS
+    @given(_feasible_germs(min_n=3), st.floats(0.0, 1.0))
+    def test_level2_after_the_range_matches_a_cold_fit(self, case, fraction):
+        n, germ = case
+        germfit._split_table.cache_clear()
+        low, high = feasible_a2_range(germ, n)
+        target = Germ(germ.t_star, (*germ.coeffs, low + fraction * (high - low)))
+        warm = fit_level2(target, n)
+        germfit._split_table.cache_clear()
+        cold = fit_level2(target, n)
+        assert warm.feasible_a2 == (low, high)
+        # Float reprs round-trip, so equal reprs are equal bits.
+        assert repr(warm) == repr(cold)
 
 
 class TestExtremePair:
@@ -347,3 +397,22 @@ class TestInvertZexp:
             invert_zexp(1.0, "middle", 1.0)
         with pytest.raises(DomainError):
             invert_zexp(1.0, "upper", 0.0)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_non_finite_values_rejected(self, y, branch):
+        with pytest.raises(DomainError, match="finite"):
+            invert_zexp(y, branch, 1.0)
+
+    def test_huge_upper_value_does_not_overflow(self):
+        # The root is near 684; doubling the bracket past it would overflow exp.
+        # A rounding of z moves z*exp(z) by about z ulps, so check the logs.
+        root = invert_zexp(1e300, "upper", 1.0)
+        assert 684.0 < root < 685.0
+        assert math.log(root) + root == pytest.approx(math.log(1e300), rel=1e-15)
+        assert root * math.exp(root) == pytest.approx(1e300, rel=1e-12)
+
+    def test_large_parameter_upper_branch(self):
+        # exp(t_star * z) overflows at the default bracket z = 1.
+        root = invert_zexp(1.0, "upper", 1000.0)
+        assert math.log(root) + 1000.0 * root == pytest.approx(0.0, abs=1e-12)
