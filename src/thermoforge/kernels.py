@@ -36,10 +36,15 @@ __all__ = [
 # u * n + j.  Viewed as table[j, a, b], one step is the contraction
 # y[a, b] = sum_j table[j, a, b] * x[b, j], with the iterate x copied into
 # xt[j, b] = x[b, j] first, so numpy's inner loop runs along the long b
-# axis rather than over the n symbols.  x, y and xt are the only
-# state-sized buffers (xt is scratch for the shift and the residual once
-# the contraction has read it); nothing is allocated per step.  An
-# ordinary step is four array passes: the transposed copy, the
+# axis rather than over the n symbols.  A constrained graph can run on a
+# compressed grid instead: b ranges over its allowed (w-2)-words only
+# (tail of them), and succ[j * tail + b] names the cell of the state that
+# j leads to from (., b), so the copy becomes the gather xt = x[succ].  The gather
+# costs about twice the strided copy per state, which the full shift,
+# where no state is dead, would pay for nothing.  x, y and xt are
+# the only state-sized buffers (xt is scratch for the shift and the
+# residual once the contraction has read it); nothing is allocated per
+# step.  An ordinary step is four array passes: the copy or gather, the
 # contraction, lam = sum(y) and x = y * (1 / lam).  The residual test
 # |y - lam x|_1 <= tol * lam costs three more passes, so it runs only on
 # every _RESIDUAL_EVERY-th step and on the last allowed step; a converged
@@ -59,6 +64,7 @@ def debruijn_power(
     tol: float = 1e-13,
     max_iter: int = 100_000,
     sigma: float = 0.0,
+    succ: np.ndarray | None = None,
 ) -> tuple[float, int, bool]:
     """Leading eigenvalue of the word-graph transfer matrix plus ``sigma*I``.
 
@@ -66,9 +72,14 @@ def debruijn_power(
     last-symbol-major: the word ``u * n + j`` (state ``u``, appended
     symbol ``j``) at ``weights[j * n_states + u]``, i.e. the base-``n``
     order reshaped to ``(n_states, n)`` and transposed.  ``tail`` is
-    ``n**(w-2)`` (1 for ``w = 2``).  Returns ``(eigenvalue, iterations,
-    converged)``.  The residual ``|y - lam x|_1 <= tol * lam`` is tested
-    on every fourth step and on step ``max_iter``, so ``iterations`` is a
+    ``n**(w-2)`` (1 for ``w = 2``).  With ``succ``, the grid is
+    compressed: ``tail`` is the number of cells ``b`` per head symbol,
+    and ``succ[j * tail + b]`` is the index into the iterate of the state
+    that appending ``j`` to a state ``(a, b)`` reaches (the same for
+    every ``a``).  ``succ=None`` is the full grid, where that index is
+    ``b * n + j``.  Returns ``(eigenvalue, iterations, converged)``.
+    The residual ``|y - lam x|_1 <= tol * lam`` is tested on every
+    fourth step and on step ``max_iter``, so ``iterations`` is a
     multiple of 4 or ``max_iter``; an unconverged call reports
     ``max_iter``.
     """
@@ -82,8 +93,14 @@ def debruijn_power(
     xt = np.empty((n, tail))
     y_ab, x_bj, scratch = y.reshape(n, tail), x.reshape(tail, n), xt.reshape(-1)
     lam = 0.0
+    if succ is not None:
+        succ = np.ascontiguousarray(succ, dtype=np.intp)
     for it in range(1, max_iter + 1):
-        np.copyto(xt, x_bj.T)
+        if succ is None:
+            np.copyto(xt, x_bj.T)
+        else:
+            # "clip" writes straight into xt; "raise" would buffer the output.
+            x.take(succ, out=scratch, mode="clip")
         # Plain einsum: optimize=True routes this through a slower path.
         np.einsum("jab,jb->ab", table, xt, out=y_ab)
         if sigma != 0.0:

@@ -25,7 +25,7 @@ from .errors import (
     OrderLimitError,
     UnsupportedConfigurationError,
 )
-from .symbolic import CylinderPotential, equilibrium_weights
+from .symbolic import CylinderPotential, SubshiftSpec, equilibrium_weights
 
 __all__ = [
     "MAX_JET_ORDER",
@@ -103,7 +103,8 @@ def pressure(potential: CylinderPotential, t: float) -> float:
         )
     t = _finite_parameter(t)
     if potential.window == 1:
-        return _logsumexp(t * potential.values)
+        with np.errstate(over="ignore"):  # an infinite t*c_i gives +-inf
+            return _logsumexp(t * potential.values)
     return _word_graph_log_radius(potential, t)
 
 
@@ -131,10 +132,16 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
 
     The length-``w`` words allowed by the transition matrix, weighted by
     ``exp(t * value)``, form the word graph whose leading eigenvalue power
-    iteration finds; the result is its log.  A window-1 potential is first
-    lifted to the equivalent window-2 potential, whose word ``(i, j)``
-    carries ``c_j``, so that its weighted adjacency is
-    ``B[i, j] = A[i, j] * exp(t * c_j)``.  Requires an irreducible
+    iteration finds; the result is its log.  A window-1 potential is read
+    as the window-2 potential whose word ``(i, j)`` carries ``c_j``, so
+    that its weighted adjacency is ``B[i, j] = A[i, j] * exp(t * c_j)``.
+    The iteration runs on the live states only: after each head symbol it
+    keeps just the allowed ``(w-2)``-words, 754 cells instead of 8192
+    states on the golden mean at window 14.  Once a ``(w-2)``-word is
+    forbidden (from window 4 on, if ``A`` has a zero), each step gathers
+    the iterate through a successor index where the full grid makes a
+    strided copy.  If some ``t * value`` overflows, the result is that
+    infinity, as in the window-1 closed form.  Requires an irreducible
     transition matrix.
     """
     if potential.space.is_full_shift:
@@ -144,10 +151,6 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
         )
     if not potential.space.irreducible:
         raise DomainError("transition matrix is not irreducible")
-    if potential.window == 1:
-        potential = CylinderPotential._adopt(
-            potential.space, 2, np.tile(potential.values, potential.n)
-        )
     t = _finite_parameter(t)
     return _word_graph_log_radius(potential, t)
 
@@ -159,43 +162,78 @@ def _finite_parameter(t) -> float:
     return t
 
 
-def _word_validity_mask(potential: CylinderPotential) -> np.ndarray:
-    """0/1 mask over length-``w`` words allowed by the transition matrix.
+def _live_word_grid(space: SubshiftSpec, window: int):
+    """The word graph of a transition-constrained space on its live cells.
 
-    Built one appended symbol at a time, so the only temporaries are the
-    mask itself and its successor.
+    A state of the word graph is a ``(window-1)``-word ``a·b``; the grid
+    keeps every head symbol ``a`` but only the ``m`` allowed
+    ``(window-2)``-words ``b`` (the empty word for windows 1 and 2), as
+    sorted base-``n`` codes built one appended symbol at a time, so no
+    array has ``n**window`` entries (Lind & Marcus 1995, §4.4).  Returns
+    ``(index, forbidden, succ)`` in the kernel's last-symbol-major
+    layout: ``index[j, a, b]`` is the position of the word ``a·b·j``
+    among the potential's values (just ``j`` for window 1, whose word
+    ``(a, j)`` carries ``c_j``), ``forbidden[j, a, b]`` marks the words
+    the transition matrix forbids, and ``succ[j * m + b]`` is the cell of
+    the state ``b·j``: its head symbol times ``m`` plus the position of
+    its tail among the codes.  Where ``b·j`` is forbidden, ``succ`` holds
+    some cell in range whose weight is 0.  ``succ`` is ``None`` when no
+    ``b`` was trimmed, since the kernel's own transposition is then the
+    same map.
     """
-    A = potential.space.transition_matrix()
-    n = potential.n
-    mask = np.ones(n)
-    for _ in range(potential.window - 1):
-        mask = (mask.reshape(-1, n)[:, :, None] * A).reshape(-1)
-    return mask
+    n = space.n
+    allowed = space.transition_matrix() > 0.0
+    symbols = np.arange(n)
+    codes = np.zeros(1, dtype=np.intp)
+    for length in range(window - 2):
+        extend = allowed[codes % n] if length else np.ones((1, n), dtype=bool)
+        codes = (codes[:, None] * n + symbols)[extend]
+    m = codes.size
+    succ = None
+    if window <= 2:
+        forbidden = ~allowed.T[:, :, None]
+    else:
+        first, rest = np.divmod(codes, n ** (window - 3))
+        forbidden = ~allowed[:, first][None, :, :] | ~allowed[codes % n].T[:, None, :]
+        if m < n ** (window - 2):
+            tails = np.searchsorted(codes, rest * n + symbols[:, None])
+            succ = (first * m + np.minimum(tails, m - 1)).reshape(-1)
+    stride = n ** (window - 1) if window > 1 else 0
+    index = symbols[:, None] * stride + codes * n + symbols[:, None, None]
+    return index, forbidden, succ
 
 
 def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
     n, w = potential.n, potential.window
-    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer,
-    # written straight into the kernel's last-symbol-major (n, n_states)
-    # layout; the word mask is dropped before the power iteration starts.
-    weights = np.multiply(t, potential.values.reshape(-1, n).T, order="C")
-    if not potential.space.is_full_shift:
-        # Forbidden words get weight exp(-inf) = 0 and so cannot set the
-        # scale; the largest allowed weight is 1, comparable to sigma below.
-        np.copyto(
-            weights, -np.inf, where=_word_validity_mask(potential).reshape(-1, n).T <= 0.0
-        )
-    shift = float(weights.max())
-    weights -= shift
+    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer
+    # in the kernel's last-symbol-major layout.  The full shift takes every
+    # word in place; a constrained space gathers its live cells only.
+    succ = None
+    with np.errstate(over="ignore"):
+        if potential.space.is_full_shift:
+            weights = np.multiply(t, potential.values.reshape(-1, n).T, order="C")
+        else:
+            index, forbidden, succ = _live_word_grid(potential.space, w)
+            weights = potential.values.take(index)
+            np.multiply(t, weights, out=weights)
+            # Forbidden words get weight exp(-inf) = 0 and so cannot set the
+            # scale; the largest allowed weight is 1, comparable to sigma below.
+            np.copyto(weights, -np.inf, where=forbidden)
+        shift = float(weights.max())
+        if not math.isfinite(shift):
+            # Some t*value overflowed: the pressure is that infinity, as in
+            # the window-1 closed form, and the weights would be nan.
+            return shift
+        weights -= shift
     np.exp(weights, out=weights)
-    tail = n ** (w - 2)
+    tail = weights.size // (n * n)
     # A periodic graph has several eigenvalues on the spectral circle and
     # never converges unshifted; the shift sigma*I makes it primitive.
     sigmas = (1.0,) if potential.space.period > 1 else (0.0, 1.0)
     tried = []
     for sigma in sigmas:
         lam, iterations, converged = kernels.debruijn_power(
-            weights, n, tail, _POWER_TOL, _POWER_MAX_ITER, sigma
+            weights, n, tail, _POWER_TOL, _POWER_MAX_ITER, sigma, succ
         )
         if converged:
             radius = lam - sigma

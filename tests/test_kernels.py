@@ -49,11 +49,15 @@ class TestPowerIteration:
         tail = n ** (window - 2)
         dense = _dense_word_graph(weights, n, tail)
         expected = np.abs(np.linalg.eigvals(dense)).max()
-        lam, _, converged = kernels.debruijn_power(
-            weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma
-        )
+        layout = weights.reshape(-1, n).T.ravel()
+        result = kernels.debruijn_power(layout, n, tail, sigma=sigma)
+        lam, _, converged = result
         assert converged
         assert lam - sigma == pytest.approx(expected, rel=1e-10)
+        # A successor index spelling out the (tail, n) transposition is the
+        # same step, bit for bit.
+        succ = (np.arange(tail) * n + np.arange(n)[:, None]).ravel()
+        assert kernels.debruijn_power(layout, n, tail, sigma=sigma, succ=succ) == result
 
     def test_sigma_shifts_eigenvalue_by_exactly_sigma(self):
         rng = np.random.default_rng(11)

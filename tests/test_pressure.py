@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -22,8 +23,8 @@ from thermoforge.errors import (
 )
 from thermoforge.pressure import (
     MAX_JET_ORDER,
+    _live_word_grid,
     _logsumexp,
-    _word_validity_mask,
     TaylorJet,
     finite_difference_jet,
     pressure,
@@ -32,7 +33,7 @@ from thermoforge.pressure import (
     q_values,
     verify_derivative_formulas,
 )
-from thermoforge.symbolic import CylinderPotential, SubshiftSpec
+from thermoforge.symbolic import CylinderPotential, SubshiftSpec, word_index
 
 
 def _phi(values, window=1, transition=None):
@@ -202,29 +203,107 @@ class TestLogSumExp:
             np.testing.assert_equal(_logsumexp(a), float(logsumexp(a)))
 
 
-class TestWordValidityMask:
-    GRAPH = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+class TestLiveWordGrid:
+    """The compressed word graph against brute-force word enumeration."""
 
-    def test_matches_word_enumeration(self):
-        for window in (1, 2, 3, 5):
-            phi = CylinderPotential(SubshiftSpec(3, self.GRAPH), window, np.zeros(3**window))
-            expected = [
-                float(all(self.GRAPH[a][b] for a, b in zip(word, word[1:])))
-                for word in itertools.product(range(3), repeat=window)
-            ]
-            assert _word_validity_mask(phi).tolist() == expected
+    GRAPHS = (
+        ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
+        # Aperiodic (3 -> 3), and symbol 0 has the single successor 1.
+        ((0, 1, 0, 0), (0, 0, 1, 1), (1, 1, 0, 1), (1, 0, 1, 1)),
+    )
 
-    def test_peak_memory_near_the_table(self):
-        window = 18
-        golden = SubshiftSpec(2, ((1, 1), (1, 0)))
-        phi = CylinderPotential(golden, window, np.zeros(2**window))
-        tracemalloc.start()
-        try:
-            mask = _word_validity_mask(phi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * mask.nbytes
+    @staticmethod
+    def _allowed(graph, word):
+        return all(graph[a][b] for a, b in zip(word, word[1:]))
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=("n3", "n4"))
+    @pytest.mark.parametrize("window", [1, 2, 3, 5])
+    def test_matches_word_enumeration(self, graph, window):
+        n = len(graph)
+        mids = [
+            b for b in itertools.product(range(n), repeat=max(window - 2, 0))
+            if self._allowed(graph, b)
+        ]
+        m = len(mids)
+        index, forbidden, succ = _live_word_grid(SubshiftSpec(n, graph), window)
+        assert index.shape == forbidden.shape == (n, n, m)
+        for j, a, (cell, b) in itertools.product(range(n), range(n), enumerate(mids)):
+            word = (a,) + b + (j,)
+            # A window-1 potential gives the word (a, j) the value c_j.
+            assert index[j, a, cell] == (j if window == 1 else word_index(word, n))
+            assert forbidden[j, a, cell] == (not self._allowed(graph, word))
+        if m < n ** max(window - 2, 0):
+            assert succ.shape == (n * m,)
+            assert succ.min() >= 0 and succ.max() < n * m
+        else:
+            assert succ is None
+        for j, (cell, b) in itertools.product(range(n), enumerate(mids)):
+            state = b + (j,)
+            if not self._allowed(graph, state):
+                # Only forbidden words reach this cell: its weight is 0.
+                assert forbidden[j, :, cell].all()
+                continue
+            expected = state[0] * m + mids.index(state[1:])
+            # Without trimming the successor is the kernel's transposition.
+            got = cell * n + j if succ is None else succ[j * m + cell]
+            assert got == expected
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=("n3", "n4"))
+    @pytest.mark.parametrize("window", [3, 4, 5])
+    def test_pressure_matches_explicit_word_graph(self, graph, window):
+        n = len(graph)
+        values = np.random.default_rng(10 * n + window).uniform(-1.0, 1.0, n**window)
+        phi = CylinderPotential(SubshiftSpec(n, graph), window, values)
+        states = n ** (window - 1)
+        for t in (-0.6, 1.3):
+            matrix = np.zeros((states, states))
+            for word in itertools.product(range(n), repeat=window):
+                if self._allowed(graph, word):
+                    code = word_index(word, n)
+                    matrix[code // n, code % states] = math.exp(t * values[code])
+            expected = math.log(np.abs(np.linalg.eigvals(matrix)).max())
+            assert pressure_spectral(phi, t) == pytest.approx(expected, rel=1e-10)
+
+
+class TestOverflowingWeights:
+    """A t*value that overflows gives the infinite pressure at once."""
+
+    GOLDEN = SubshiftSpec(2, ((1, 1), (1, 0)))
+
+    @pytest.fixture(autouse=True)
+    def no_kernel_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the power iteration ran")
+
+        monkeypatch.setattr(kernels, "debruijn_power", refuse)
+
+    @staticmethod
+    def _quiet(evaluate, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return evaluate(phi, 1e200)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [([1e200, 0.0, 0.0, 0.0], math.inf), ([-1e200] * 4, -math.inf)],
+    )
+    def test_window_two_full_shift(self, values, expected):
+        assert self._quiet(pressure, CylinderPotential(SubshiftSpec(2), 2, values)) == expected
+        # The window-1 closed form agrees.
+        assert self._quiet(pressure, CylinderPotential(SubshiftSpec(2), 1, values[:2])) == expected
+
+    @pytest.mark.parametrize(
+        "window, values, expected",
+        [
+            (1, [1e200, 0.0], math.inf),
+            (2, [1e200, 0.0, 0.0, 0.0], math.inf),
+            (1, [-1e200] * 2, -math.inf),
+            (2, [-1e200] * 4, -math.inf),
+        ],
+    )
+    def test_golden_mean(self, window, values, expected):
+        phi = CylinderPotential(self.GOLDEN, window, values)
+        assert self._quiet(pressure_spectral, phi) == expected
 
 
 class TestPeakMemory:
@@ -253,7 +332,12 @@ class TestPeakMemory:
     def test_golden_mean_wide_window(self):
         values = np.random.default_rng(4).uniform(-1.0, 1.0, 2**16)
         phi = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 16, values)
-        assert self._peak_ratio(pressure_spectral, phi) < 3.0
+        assert self._peak_ratio(pressure_spectral, phi) < 0.5
+
+    def test_golden_mean_window_twenty(self):
+        values = np.random.default_rng(6).uniform(-1.0, 1.0, 2**20)
+        phi = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 20, values)
+        assert self._peak_ratio(pressure_spectral, phi) < 0.25
 
 
 class TestPressureProperties:
