@@ -166,7 +166,7 @@ def _sample_sums(
 
 def _ndtr(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF ``0.5 * erfc(-x / sqrt(2))``, accurate in both tails."""
-    return 0.5 * np.fromiter(map(math.erfc, (x * -math.sqrt(0.5)).tolist()), np.float64, x.size)
+    return 0.5 * np.fromiter(map(math.erfc, memoryview(x * -math.sqrt(0.5))), np.float64, x.size)
 
 
 def simulate_gm(config: SimConfig) -> CltReport:

@@ -4,19 +4,20 @@ Level-1 fitting prescribes the pressure value and slope at a parameter
 point ``t_star`` and realizes them with a two-value potential (``n - 1``
 coordinates at a low value, one at a high value).  Level-2 fitting adds a
 curvature target: the attainable curvature range is scanned over all
-ordered two-value splits, and intermediate targets are reached by letting
-one coordinate slide continuously between the two values.  The same
-machinery tabulates the extreme-split solutions whose low value drifts
-like ``-log n - log log n``, and inverts the scalar map ``z -> z*exp(t*z)``
-on its monotone branches.
+ordered two-value splits, a bisection over the splits finds the adjacent
+pair whose curvatures bracket a target, and intermediate targets are
+reached by letting one coordinate slide continuously between the two
+values.  The same machinery tabulates the extreme-split solutions whose
+low value drifts like ``-log n - log log n``, and inverts the scalar map
+``z -> z*exp(t*z)`` on its monotone branches.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -152,36 +153,78 @@ def feasible_a2_range(germ: Germ, n: int) -> tuple[float, float]:
     the minimum and maximum of the resulting curvatures form an inner
     approximation of the exact attainable range (richer value patterns
     could widen it).  Splits whose solver fails are skipped with a
-    warning; all splits failing is an error.  The solved splits are kept,
-    so a following :func:`fit_level2` of the same ``(t_star, a0, a1, n)``
-    reuses them instead of sweeping again.
+    warning; all splits failing is an error.
     """
     n = _check_size_int(n)
     _require_feasible(germ, n)
-    _, _, _, a2 = _sweep(germ, n)
+    ks = np.arange(1, n, dtype=np.int64)
+    _, _, a2, ok = kernels.two_block_sweep(
+        ks, float(n), germ.t_star, germ.a0, germ.a1, _NEWTON_TOL
+    )
+    a2 = a2[ok]
+    failed = int(np.count_nonzero(_slope_reachable(germ, n, ks) & ~ok))
+    _check_splits(germ, n, failed, float(a2.min()) if a2.size else None)
     return max(float(a2.min()), 0.0), float(a2.max())
 
 
 def fit_level2(germ: Germ, n: int) -> FitResult:
     """Realize a (value, slope, curvature) target at size ``n``.
 
-    The curvature target must lie in the scanned range from
-    :func:`feasible_a2_range`.  Targets matching a two-value split are
-    returned directly; intermediate targets are reached by sliding one
-    coordinate continuously between the low and high values of a
-    bracketing pair of splits, re-solving the value/slope constraints at
-    every step.  The split sweep is shared with the last
-    :func:`feasible_a2_range` or :func:`fit_level2` call of the same
-    ``(t_star, a0, a1, n)``, so check-then-fit solves every split once.
+    The curvature target must lie in the range spanned by the first
+    converged split that can meet the slope target and the last converged
+    split.  Curvature has not decreased with ``k`` on any germ tried, so
+    this is the range :func:`feasible_a2_range` scans.  A bisection on
+    ``k`` then solves about ``log2 n`` single splits to find the adjacent
+    pair that brackets the target, whatever the order of the curvatures.
+    A split already matching the target is returned directly; otherwise
+    one coordinate slides continuously from the low value to the high
+    value between the pair, re-solving the value/slope constraints at
+    every step.  Probed splits whose solver fails are skipped with a
+    warning.
     """
     n = _check_size_int(n)
     if germ.a2 is None:
         raise DomainError("fit_level2 needs a three-coefficient target")
     _require_feasible(germ, n)
     target = germ.a2
-    ks, za_arr, zb_arr, a2_arr = _sweep(germ, n)
-    feasible = list(zip(ks.tolist(), za_arr.tolist(), zb_arr.tolist(), a2_arr.tolist()))
-    low, high = float(a2_arr.min()), float(a2_arr.max())
+    probes = {}
+
+    def converged(ks):
+        """The first converged split ``(k, z_low, z_high, curvature)`` of ``ks``."""
+        for k in ks:
+            if k not in probes:
+                za, zb, a2, ok = kernels.two_block_sweep(
+                    np.array([k], dtype=np.int64), float(n),
+                    germ.t_star, germ.a0, germ.a1, _NEWTON_TOL,
+                )
+                probes[k] = (k, float(za[0]), float(zb[0]), float(a2[0])) if ok[0] else None
+            if probes[k] is not None:
+                return probes[k]
+        return None
+
+    first = converged(range(_first_reachable_split(germ, n), n))
+    last = first and converged(range(n - 1, first[0] - 1, -1))
+    # Keep curvature(lo) < target <= curvature(hi) while the pair is apart;
+    # a failed probe moves to its nearest converged neighbour in between.
+    lo, hi = first, last
+    if first is not None:
+        if target <= first[3]:
+            hi = first
+        elif target > last[3]:
+            lo = last
+    while lo is not None and hi[0] - lo[0] > 1:
+        mid = (lo[0] + hi[0]) // 2
+        nearby = zip_longest(range(mid, hi[0]), range(mid - 1, lo[0], -1))
+        split = converged(k for pair in nearby for k in pair if k is not None)
+        if split is None:
+            break
+        if split[3] < target:
+            lo = split
+        else:
+            hi = split
+    failed = list(probes.values()).count(None)
+    _check_splits(germ, n, failed, first[3] if first else None)
+    low, high = first[3], last[3]
     bounds = (max(low, 0.0), high)
     slack = 1e-12 * max(1.0, abs(high))
     if not (low - slack <= target <= high + slack):
@@ -190,22 +233,31 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
             f"[{bounds[0]}, {bounds[1]}] for n={n}"
         )
     # A split already matching the target closes the problem.
-    nearest = min(feasible, key=lambda item: abs(item[3] - target))
-    if abs(nearest[3] - target) <= _CURVATURE_TOL:
-        k, za, zb, _ = nearest
-        z = k * [za] + (n - k) * [zb]
-        return _finish_fit(germ, z, feasible_a2=bounds)
-    pair = _bracketing_pair(feasible, target)
-    if pair is None:
+    k, za, zb, a2 = min((lo, hi), key=lambda split: abs(split[3] - target))
+    if abs(a2 - target) <= _CURVATURE_TOL:
+        return _finish_fit(germ, k * [za] + (n - k) * [zb], feasible_a2=bounds)
+    if hi[0] - lo[0] != 1:
         raise NumericError(
             f"no adjacent splits bracket curvature {target} in [{low}, {high}]"
         )
-    (k, za_hi_split, zb_hi_split, a2_k1), (za_lo_split, zb_lo_split, a2_k0) = pair
+    return _finish_fit(germ, _slide(germ, n, lo[0], hi), feasible_a2=bounds)
+
+
+def _slide(germ: Germ, n: int, k: int, start) -> list[float]:
+    """Values reaching the curvature target between splits ``k`` and ``k + 1``.
+
+    One coordinate slides between the low and high values while the other
+    ``n - 1`` sit on the splits' two values; bisection on its position
+    ``theta`` re-solves the value/slope constraints from the last point.
+    ``start`` is the converged split ``k + 1`` as ``(k + 1, z_low, z_high,
+    curvature)``, where ``theta = 0`` begins.
+    """
+    target = germ.a2
     # theta = 0 places the sliding coordinate at the low value (split k+1);
     # theta = 1 places it at the high value (split k).
     lo_t, hi_t = 0.0, 1.0
-    h_lo = a2_k1 - target
-    state = (za_hi_split, zb_hi_split)
+    h_lo = start[3] - target
+    state = start[1:3]
     for _ in range(300):
         mid = 0.5 * (lo_t + hi_t)
         za, zb, a2_mid = _solve_slider(germ, n, k, mid, state)
@@ -224,74 +276,43 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
             f"curvature homotopy did not reach target {target} for n={n}"
         )
     zc = (1.0 - mid) * za + mid * zb
-    z_final = k * [za] + [zc] + (n - k - 1) * [zb]
-    return _finish_fit(germ, z_final, feasible_a2=bounds)
+    return k * [za] + [zc] + (n - k - 1) * [zb]
 
 
-def _sweep(germ: Germ, n: int):
-    """Solve every ordered split ``(k, n-k)`` and keep the converged ones.
+def _check_splits(germ: Germ, n: int, failed: int, low: float | None) -> None:
+    """Warn about ``failed`` skipped splits; raise unless a split converged.
 
-    Returns read-only ``(ks, z_low, z_high, curvature)`` arrays of the
-    converged splits.  Splits that could match the slope target but whose
-    solver failed are skipped with a warning; no converged split, or a
-    negative curvature from one, is an error.
+    ``low`` is the least curvature of the converged splits (``None`` when
+    none converged); a negative one is an error too.
     """
-    ks = np.arange(1, n, dtype=np.int64)
-    za, zb, a2, ok = _split_table(germ.t_star, germ.a0, germ.a1, n)
-    failed = int(np.count_nonzero(_slope_reachable(germ, n, ks) & ~ok))
     if failed:
         # Level 3 is the user's call of feasible_a2_range or fit_level2.
         warnings.warn(
             f"{failed} two-value split(s) skipped: Newton did not converge",
             stacklevel=3,
         )
-    if not ok.any():
+    if low is None:
         raise NumericError(
             f"no two-value split converged for germ={germ.coeffs}, n={n}"
         )
-    converged = ks[ok], za[ok], zb[ok], a2[ok]
-    low = float(converged[3].min())
     if low < -1e-10:
         raise NumericError(f"negative curvature {low} from a converged split")
-    for array in converged:
-        array.flags.writeable = False
-    return converged
 
 
-@functools.lru_cache(maxsize=1)
-def _split_table(t_star: float, a0: float, a1: float, n: int):
-    """The raw ``(z_low, z_high, curvature, ok)`` sweep over ``k = 1 .. n-1``.
+def _first_reachable_split(germ: Germ, n: int) -> int:
+    """The least ``k`` whose split ``(k, n-k)`` can meet the slope target.
 
-    One entry serves the check-then-fit flow (:func:`feasible_a2_range`,
-    then :func:`fit_level2` on the same germ) and holds at most one table,
-    25 bytes per split.  The arrays are read-only since later calls share
-    them.  The kernel is looked up on every miss, so a replaced
-    ``kernels.two_block_sweep`` is the one that runs.
+    The slope limit ``(a0 - log(n - k))/t_star`` grows with ``k`` and
+    exceeds ``a1`` at ``k = n - 1`` for a feasible germ.
     """
-    ks = np.arange(1, n, dtype=np.int64)
-    table = kernels.two_block_sweep(ks, float(n), t_star, a0, a1, _NEWTON_TOL)
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
-def _bracketing_pair(feasible, target):
-    """Adjacent feasible splits whose curvatures bracket ``target``.
-
-    Returns ``((k, za_k1, zb_k1, a2_k1), (za_k0, zb_k0, a2_k0))`` where the
-    first entry belongs to split ``k + 1`` (the homotopy start) and the
-    second to split ``k``, or ``None`` when no adjacent pair brackets.
-    """
-    by_k = {item[0]: item for item in feasible}
-    for k, _, _, a2_k in feasible:
-        other = by_k.get(k + 1)
-        if other is None:
-            continue
-        a2_k1 = other[3]
-        lo, hi = min(a2_k, a2_k1), max(a2_k, a2_k1)
-        if lo <= target <= hi:
-            return (k, other[1], other[2], a2_k1), (by_k[k][1], by_k[k][2], a2_k)
-    return None
+    lo, hi = 0, n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _slope_reachable(germ, n, np.array([mid]))[0]:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _solve_slider(
@@ -324,7 +345,7 @@ def _solve_slider(
     za, zb, (_, _, ea, eb, ec, zc), best, _ = kernels.damped_newton(
         residual, direction, *start, _NEWTON_TOL, 80, lambda f1, f2: abs(f1) + abs(f2)
     )
-    if best > _NEWTON_TOL:
+    if best > _NEWTON_TOL * max(1.0, abs(za), abs(zb)):
         raise NumericError(
             f"sliding-coordinate solve stalled at residual {best:.3e} "
             f"(n={n}, k={k}, theta={theta})"

@@ -170,7 +170,9 @@ def damped_newton(residual, direction, za, zb, tol, max_iter, norm):
 #
 # on the ordered branch z_a <= z_b.  A bracketing bisection on the reduced
 # one-variable problem supplies the initial point; damped_newton on the
-# two-variable system finishes to full precision.
+# two-variable system finishes to full precision.  The solve is accepted
+# when its residual is at most newton_tol * max(1, |z_a|, |z_b|): the slope
+# residual sums z * exp(...) terms, so its rounding floor grows with |z|.
 # The curvature of the solved slice is reported as
 # second-moment - a1**2 in the same scaled units.
 # ---------------------------------------------------------------------------
@@ -210,8 +212,9 @@ def two_block_sweep(
         rest = n - k
         if k < 1.0 or rest < 1.0:
             continue
+        log_rest = np.log(rest)
         # The ordered branch only reaches mean targets below this limit.
-        limit = (a0 - np.log(rest)) / t
+        limit = (a0 - log_rest) / t
         if not a1 < limit:
             continue
         # --- Bracket the reduced problem g(z_a) between lo and hi. ---
@@ -225,7 +228,7 @@ def two_block_sweep(
             ea = k * np.exp(t * lo - a0)
             beta = 1.0 - ea
             if beta > 0.0:
-                zb = (a0 + np.log(beta) - np.log(rest)) / t
+                zb = (a0 + np.log(beta) - log_rest) / t
                 g = lo * ea + zb * beta - a1
                 if g > 0.0:
                     found = True
@@ -241,7 +244,7 @@ def two_block_sweep(
             if beta <= 0.0:
                 hi = mid
                 continue
-            zb = (a0 + np.log(beta) - np.log(rest)) / t
+            zb = (a0 + np.log(beta) - log_rest) / t
             g = mid * ea + zb * beta - a1
             if g > 0.0:
                 lo = mid
@@ -252,7 +255,7 @@ def two_block_sweep(
         beta = 1.0 - ea
         if beta <= 0.0:
             continue
-        zb = (a0 + np.log(beta) - np.log(rest)) / t
+        zb = (a0 + np.log(beta) - log_rest) / t
         # --- Damped Newton on the full two-variable system. ---
 
         def residual(za, zb):
@@ -264,7 +267,7 @@ def two_block_sweep(
             residual, direction, za, zb, newton_tol, max_newton,
             lambda f1, f2: abs(f1) + abs(f2),
         )
-        if not (best <= newton_tol and za <= zb):
+        if not (best <= newton_tol * max(1.0, abs(za), abs(zb)) and za <= zb):
             continue
         za_out[i] = za
         zb_out[i] = zb

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,19 @@ class TestFitCommands:
         )
         assert proc.returncode == 2
         assert "range" in proc.stderr
+
+    def test_fit2_wide_scale_target_inside_the_range(self, capsys):
+        # The fitted values lie near -50, where a split's Newton residual
+        # cannot reach 1e-13 in absolute terms.
+        argv = ["fit2", "--tstar", "0.304", "--a0", "-14.9", "--a1", "-65.6749246125332",
+                "--a2", "1.52", "--n", "504"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no split may be skipped
+            assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        low, high = payload["feasible_a2"]
+        assert low < 1.52 < high
+        assert payload["residuals"]["curvature"] <= 1e-8
 
 
 class TestTable3Command:

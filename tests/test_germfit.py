@@ -160,15 +160,18 @@ class TestFeasibleCurvatureRange:
 
     def test_skipped_split_warns_from_both_entry_points(self, monkeypatch):
         original = kernels.two_block_sweep
+        # At n = 6 this germ reaches the slope target from split k = 4 on,
+        # so both the scan and the bisection solve split 4.
+        broken_k = 4
 
-        def drop_first_solved_split(*args, **kwargs):
-            za, zb, a2, ok = (arr.copy() for arr in original(*args, **kwargs))
-            broken = int(np.flatnonzero(ok)[0])
+        def drop_split(ks, *args, **kwargs):
+            za, zb, a2, ok = (arr.copy() for arr in original(ks, *args, **kwargs))
+            broken = ks == broken_k
             za[broken] = zb[broken] = a2[broken] = np.nan
             ok[broken] = False
             return za, zb, a2, ok
 
-        monkeypatch.setattr(kernels, "two_block_sweep", drop_first_solved_split)
+        monkeypatch.setattr(kernels, "two_block_sweep", drop_split)
         with pytest.warns(UserWarning) as range_warnings:
             low, high = feasible_a2_range(Germ(1.0, (2.0, 1.0)), 6)
         with pytest.warns(UserWarning) as fit_warnings:
@@ -181,7 +184,7 @@ class TestFeasibleCurvatureRange:
         assert {w.filename for w in [*range_warnings, *fit_warnings]} == {__file__}
 
 
-class TestSweepReuse:
+class TestSplitProbes:
     @staticmethod
     def _count_sweeps(monkeypatch):
         calls = []
@@ -194,27 +197,26 @@ class TestSweepReuse:
         monkeypatch.setattr(kernels, "two_block_sweep", counting)
         return calls
 
-    def test_check_then_fit_sweeps_once(self, monkeypatch):
+    @pytest.mark.parametrize("n", [12, 1000, 2**16])
+    def test_check_then_fit_sweeps_once_then_bisects(self, monkeypatch, n):
+        # The germ of ROADMAP item 3: slope 0.05 above its lower limit.
+        a0 = 2.0
+        germ = Germ(1.0, (a0, a0 - math.log(n) + 0.05))
         calls = self._count_sweeps(monkeypatch)
-        low, high = feasible_a2_range(Germ(1.0, (2.0, 1.0)), 12)
-        result = fit_level2(Germ(1.0, (2.0, 1.0, 0.5 * (low + high))), 12)
-        assert result.feasible_a2 == (low, high)
-        assert calls == [11]
-
-    def test_changed_slope_or_size_sweeps_again(self, monkeypatch):
-        calls = self._count_sweeps(monkeypatch)
-        feasible_a2_range(Germ(1.0, (2.0, 1.0)), 12)
-        feasible_a2_range(Germ(1.0, (2.0, 1.1)), 12)
-        feasible_a2_range(Germ(1.0, (2.0, 1.1)), 13)
-        feasible_a2_range(Germ(1.0, (2.0, 1.1)), 13)
-        assert calls == [11, 11, 12]
-
-    def test_sweep_arrays_are_read_only(self):
-        germ = Germ(1.0, (2.0, 1.0))
-        for _ in range(2):  # the cold and the cached table
-            for array in germfit._sweep(germ, 12):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
+        if n <= 1000:
+            low, high = feasible_a2_range(germ, n)
+            assert calls == [n - 1]
+        else:
+            # A full sweep takes seconds here; solve the two end splits instead.
+            k_min = int(n * (1.0 - math.exp(-0.05))) + 1
+            _, _, (low, high), _ = kernels.two_block_sweep(
+                np.array([k_min, n - 1]), float(n), 1.0, *germ.coeffs
+            )
+        calls.clear()
+        result = fit_level2(Germ(1.0, (*germ.coeffs, 0.5 * (low + high))), n)
+        assert result.residuals["curvature"] <= 1e-8
+        assert calls and set(calls) == {1}
+        assert len(calls) <= math.ceil(math.log2(n)) + 4
 
 
 class TestFitLevel2:
@@ -274,6 +276,43 @@ def _feasible_germs(draw, min_n):
     return n, Germ(t_star, (a0, lower + fraction * (upper - lower)))
 
 
+@st.composite
+def _wide_scale_germs(draw):
+    """Germs whose fitted values all lie below -40, where rounding grows with |z|."""
+    n = draw(st.integers(3, 300))
+    t_star = draw(st.floats(0.2, 0.3))
+    a0 = draw(st.floats(-20.0, -12.0))
+    lower, upper = (a0 - math.log(n)) / t_star, a0 / t_star
+    fraction = draw(st.floats(1e-3, 1.0 - 1e-3))
+    return n, Germ(t_star, (a0, lower + fraction * (upper - lower)))
+
+
+def _full_table_fit(germ, n):
+    """``fit_level2``'s values and range from a solve of every split.
+
+    The reference selection: the split nearest the target if it matches,
+    else the first adjacent pair of converged splits that brackets it.
+    Returns ``(sorted z, feasible_a2)``.
+    """
+    za, zb, a2, ok = kernels.two_block_sweep(
+        np.arange(1, n), float(n), germ.t_star, germ.a0, germ.a1, germfit._NEWTON_TOL
+    )
+    splits = [
+        (k, float(za[i]), float(zb[i]), float(a2[i]))
+        for i, k in enumerate(range(1, n)) if ok[i]
+    ]
+    curvatures = [split[3] for split in splits]
+    bounds = (max(min(curvatures), 0.0), max(curvatures))
+    target = germ.a2
+    k, za_k, zb_k, a2_k = min(splits, key=lambda split: abs(split[3] - target))
+    if abs(a2_k - target) <= germfit._CURVATURE_TOL:
+        return sorted(k * [za_k] + (n - k) * [zb_k]), bounds
+    for (k, _, _, a2_k), upper in zip(splits, splits[1:]):
+        if upper[0] == k + 1 and min(a2_k, upper[3]) <= target <= max(a2_k, upper[3]):
+            return sorted(germfit._slide(germ, n, k, upper)), bounds
+    raise AssertionError(f"no adjacent splits bracket {target}")
+
+
 class TestFitProperties:
     @_PROPERTY_SETTINGS
     @given(_feasible_germs(min_n=2))
@@ -303,15 +342,40 @@ class TestFitProperties:
     @given(_feasible_germs(min_n=3), st.floats(0.0, 1.0))
     def test_level2_after_the_range_matches_a_cold_fit(self, case, fraction):
         n, germ = case
-        germfit._split_table.cache_clear()
         low, high = feasible_a2_range(germ, n)
         target = Germ(germ.t_star, (*germ.coeffs, low + fraction * (high - low)))
         warm = fit_level2(target, n)
-        germfit._split_table.cache_clear()
         cold = fit_level2(target, n)
         assert warm.feasible_a2 == (low, high)
         # Float reprs round-trip, so equal reprs are equal bits.
         assert repr(warm) == repr(cold)
+
+    @_PROPERTY_SETTINGS
+    @given(_feasible_germs(min_n=3), st.floats(0.0, 1.0))
+    def test_level2_matches_the_full_table_selection(self, case, fraction):
+        n, germ = case
+        low, high = feasible_a2_range(germ, n)
+        target = Germ(germ.t_star, (*germ.coeffs, low + fraction * (high - low)))
+        result = fit_level2(target, n)
+        z, bounds = _full_table_fit(target, n)
+        assert result.feasible_a2 == bounds
+        assert list(result.z) == z
+
+    @_PROPERTY_SETTINGS
+    @given(_wide_scale_germs(), st.floats(0.0, 1.0))
+    def test_wide_scale_level2_round_trips(self, case, fraction):
+        n, germ = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no split may be skipped
+            low, high = feasible_a2_range(germ, n)
+            target = Germ(germ.t_star, (*germ.coeffs, low + fraction * (high - low)))
+            result = fit_level2(target, n)
+        assert max(abs(v) for v in result.z) >= 40.0
+        assert result.feasible_a2 == (low, high)
+        assert result.residuals["curvature"] <= 1e-8
+        scale = max(1.0, math.exp(germ.a0))
+        assert result.residuals["value"] <= 1e-9 * scale
+        assert result.residuals["slope"] <= 1e-9 * scale
 
 
 class TestExtremePair:
