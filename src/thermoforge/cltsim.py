@@ -14,7 +14,9 @@ orbit length at which the empirical distance falls below it.
 Each orbit length's samples are cut into fixed blocks of ``_BLOCK`` draws,
 each with its own counter-based stream keyed by (seed, orbit-length index,
 block index), so a fixed seed reproduces reports bit for bit whatever the
-worker count and scheduling.
+worker count and scheduling.  The blocks of the next orbit length are
+queued on the worker pool before the current length's are reduced, so at
+most two lengths of samples are held at once.
 """
 
 from __future__ import annotations
@@ -177,6 +179,13 @@ def simulate_gm(config: SimConfig) -> CltReport:
     are tested against N(0, d2) with the one-sample KS statistic.  Streams
     are keyed by sample block, so an identical seed gives a bit-identical
     report for any worker count.
+
+    One pool of ``min(workers, cpu_count)`` threads draws the blocks.
+    Length ``i+1``'s blocks are submitted before length ``i``'s are read,
+    so the workers keep drawing while this thread concatenates, sorts and
+    evaluates the normal CDF; no more than two lengths are outstanding.
+    If a block raises, the blocks not yet started are cancelled and its
+    exception propagates.
     """
     # Imported here so that importing the package does not load the thread pool.
     from concurrent.futures import ThreadPoolExecutor
@@ -195,20 +204,32 @@ def simulate_gm(config: SimConfig) -> CltReport:
     sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
     sigma = math.sqrt(d2)
 
+    lengths = config.orbit_lengths
     ks_distances = []
     means = []
     variances = []
     bounds = []
     first_m = None
-    with ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
-        for m_idx, m in enumerate(config.orbit_lengths):
-            blocks = pool.map(
-                lambda cell: _sample_sums(
-                    values, probabilities, m, cell[1], config.seed, m_idx, cell[0]
-                ),
-                enumerate(sizes),
+    pool = ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1))
+
+    def queue(m_idx: int) -> list:
+        return [
+            pool.submit(
+                _sample_sums, values, probabilities, lengths[m_idx], size, config.seed,
+                m_idx, block_idx,
             )
-            scaled = np.sort(np.concatenate(list(blocks)) / math.sqrt(m))
+            for block_idx, size in enumerate(sizes)
+        ]
+
+    try:
+        queued = queue(0)
+        for m_idx, m in enumerate(lengths):
+            blocks = queued
+            # The next length's blocks go in before this one's are read, so
+            # the workers draw them while this thread sorts and runs _ndtr.
+            if m_idx + 1 < len(lengths):
+                queued = queue(m_idx + 1)
+            scaled = np.sort(np.concatenate([block.result() for block in blocks]) / math.sqrt(m))
             n_samples = len(scaled)
             cdf = _ndtr(scaled / sigma)
             steps = np.arange(1, n_samples + 1, dtype=np.float64) / n_samples
@@ -222,6 +243,10 @@ def simulate_gm(config: SimConfig) -> CltReport:
             variances.append(float(scaled.var(ddof=1)))
             if first_m is None and ks <= bound:
                 first_m = m
+    finally:
+        # Every block has been read unless one raised; then the queued ones
+        # that have not started are dropped instead of drawn.
+        pool.shutdown(cancel_futures=True)
     return CltReport(
         orbit_lengths=config.orbit_lengths,
         ks_distances=tuple(ks_distances),

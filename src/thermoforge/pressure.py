@@ -182,7 +182,7 @@ def _live_word_grid(space: SubshiftSpec, window: int):
     same map.
     """
     n = space.n
-    allowed = space.transition_matrix() > 0.0
+    allowed = space.allowed
     symbols = np.arange(n)
     codes = np.zeros(1, dtype=np.intp)
     for length in range(window - 2):

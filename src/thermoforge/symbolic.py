@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -49,13 +50,15 @@ class SubshiftSpec:
     ``None`` means the full shift.  The ``irreducible`` flag (strong
     connectivity of the transition graph) and the graph's ``period`` (the
     gcd of its cycle lengths; 1 for the full shift) are computed at
-    construction.
+    construction, and so is ``allowed``: the transition matrix as a
+    read-only bool array, ``None`` for the full shift.
     """
 
     n: int
     transition: tuple[tuple[int, ...], ...] | None = None
     irreducible: bool = field(init=False, compare=False)
     period: int = field(init=False, compare=False)
+    allowed: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 2 <= int(self.n) <= MAX_ALPHABET:
@@ -64,17 +67,27 @@ class SubshiftSpec:
         if self.transition is None:
             object.__setattr__(self, "irreducible", True)
             object.__setattr__(self, "period", 1)
+            object.__setattr__(self, "allowed", None)
             return
-        rows = tuple(tuple(int(x) for x in row) for row in self.transition)
-        if len(rows) != self.n or any(len(row) != self.n for row in rows):
+        try:
+            matrix = np.asarray(self.transition)
+        except ValueError:
+            matrix = None  # ragged rows
+        if matrix is None or matrix.shape != (self.n, self.n):
             raise DomainError(f"transition matrix must be {self.n}x{self.n}")
-        if any(x not in (0, 1) for row in rows for x in row):
+        # Strings, None and the like fail the dtype test; NaN, infinities and
+        # fractions fail the 0/1 test instead of being truncated.
+        if matrix.dtype.kind not in "biuf" or not np.all((matrix == 0) | (matrix == 1)):
             raise DomainError("transition entries must be 0 or 1")
-        if any(not any(row) for row in rows):
+        allowed = matrix == 1
+        allowed.setflags(write=False)
+        if not allowed.any(axis=1).all():
             raise DomainError("transition matrix has an all-zero row")
-        if any(not any(row[j] for row in rows) for j in range(self.n)):
+        if not allowed.any(axis=0).all():
             raise DomainError("transition matrix has an all-zero column")
+        rows = tuple(map(tuple, allowed.astype(int).tolist()))
         object.__setattr__(self, "transition", rows)
+        object.__setattr__(self, "allowed", allowed)
         irreducible, period = _connectivity(rows)
         object.__setattr__(self, "irreducible", irreducible)
         object.__setattr__(self, "period", period)
@@ -85,9 +98,9 @@ class SubshiftSpec:
 
     def transition_matrix(self) -> np.ndarray | None:
         """Transition matrix as a float array, or ``None`` for the full shift."""
-        if self.transition is None:
+        if self.allowed is None:
             return None
-        return np.asarray(self.transition, dtype=np.float64)
+        return self.allowed.astype(np.float64)
 
 
 def _connectivity(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, int]:
@@ -265,12 +278,29 @@ def potential_from_dict(obj: dict) -> CylinderPotential:
     missing = {"n", "window", "values"} - set(obj)
     if missing:
         raise DomainError(f"potential spec missing keys: {sorted(missing)}")
-    transition = obj.get("transition")
-    space = SubshiftSpec(
-        int(obj["n"]),
-        None if transition is None else tuple(tuple(int(x) for x in row) for row in transition),
-    )
-    return CylinderPotential(space, int(obj["window"]), obj["values"])
+    space = SubshiftSpec(_whole(obj, "n"), obj.get("transition"))
+    window = _whole(obj, "window")
+    try:
+        values = np.asarray(obj["values"])
+    except ValueError:  # ragged nesting
+        values = None
+    # Strings would otherwise be parsed as numbers, and bools read as 0 and 1.
+    if values is None or values.dtype.kind not in "iufO":
+        raise DomainError("potential values must be numbers")
+    try:
+        return CylinderPotential(space, window, values)
+    except (TypeError, ValueError) as err:  # an object entry such as None
+        raise DomainError(f"potential values must be numbers: {err}") from None
+
+
+def _whole(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int; a fraction, bool or non-number is an error."""
+    value = obj[key]
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DomainError(f"{key!r} must be an integer, got {value!r}")
 
 
 def potential_from_json(text: str) -> CylinderPotential:

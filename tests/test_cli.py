@@ -121,6 +121,37 @@ class TestPressureCommand:
         assert payload["t"] == -1e-3
         assert payload["pressure"] == pytest.approx(math.log(1.0 + math.exp(-1e-3)), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ({"n": 2.9, "window": 1, "values": [0.0, 1.0]}, "'n' must be an integer"),
+            ({"n": "two", "window": 1, "values": [0.0, 1.0]}, "'n' must be an integer"),
+            ({"n": 2, "window": 1.7, "values": [0.0, 1.0]}, "'window' must be an integer"),
+            ({"n": 2, "window": True, "values": [0.0, 1.0]}, "'window' must be an integer"),
+            ({"n": 2, "window": 1, "values": [0.0, "1.0"]}, "must be numbers"),
+            ({"n": 2, "window": 1, "values": [0.0, None]}, "must be numbers"),
+            ({"n": 2, "window": 1, "values": [0.0, [1.0, 2.0]]}, "must be numbers"),
+            ({**TWO_POINT, "transition": [[1, 0.7], [1, 1]]}, "0 or 1"),
+            ({**TWO_POINT, "transition": [[1, math.nan], [1, 1]]}, "0 or 1"),
+            ({**TWO_POINT, "transition": [[1, math.inf], [1, 1]]}, "0 or 1"),
+            ({**TWO_POINT, "transition": [[1, "1"], [1, 1]]}, "0 or 1"),
+        ],
+    )
+    def test_malformed_potential_exits_2(self, spec, error, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["pressure", "--potential", str(path), "--t", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err and error in captured.err
+
+    def test_integral_floats_are_sizes(self, tmp_path, capsys):
+        path = tmp_path / "sizes.json"
+        path.write_text(json.dumps({"n": 2.0, "window": 1.0, "values": [0, 1]}))
+        assert cli.main(["pressure", "--potential", str(path), "--t", "1.0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pressure"] == pytest.approx(math.log(1.0 + math.e), rel=1e-15)
+
     def test_missing_file_is_domain_error(self):
         proc = run_cli("pressure", "--potential", "/nonexistent.json", "--t", "1.0")
         assert proc.returncode == 2

@@ -108,6 +108,25 @@ def test_one_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
     assert _run(argv)["stdout"] == expected["stdout"]
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_cltsim_bytes_do_not_depend_on_threads(threads, tmp_path, monkeypatch):
+    """The recorded single-thread cltsim runs, replayed on queued worker threads."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("THERMOFORGE_SEED", raising=False)
+    _write_files(tmp_path)
+    recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))["cases"]
+    cases = [case for case in recorded if case["argv"][0] == "cltsim"]
+    assert [case["argv"][-1] for case in cases] == ["json", "csv"]
+    for expected in cases:
+        actual = _run(expected["argv"] + ["--threads", str(threads)])
+        assert actual["code"] == 0, actual["argv"]
+        # Only the manifest's record of the flag may differ.
+        assert expected["stdout"].count('"threads": 1,') == 1
+        assert actual["stdout"] == expected["stdout"].replace(
+            '"threads": 1,', f'"threads": {threads},'
+        ), actual["argv"]
+
+
 if __name__ == "__main__":
     os.environ.pop("THERMOFORGE_SEED", None)
     home = os.getcwd()

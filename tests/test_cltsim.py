@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -147,11 +148,13 @@ class TestSimulateGm:
         assert base.ks_distances != other.ks_distances
 
     def test_reports_do_not_depend_on_workers(self):
-        # 10,000 samples span three blocks, so every width splits them.
-        assert MIN_SAMPLES > 2 * cltsim._BLOCK
-        serial = simulate_gm(_config(workers=1))
-        assert simulate_gm(_config(workers=2)) == serial
-        assert simulate_gm(_config(workers=3)) == serial
+        # 10,000 samples span three blocks, so every width splits them; with
+        # four lengths, the queue holds two while the first two are reduced.
+        assert -(-MIN_SAMPLES // cltsim._BLOCK) == 3
+        for lengths in ((100, 400), (10, 40, 160, 640)):
+            serial = simulate_gm(_config(orbit_lengths=lengths, workers=1))
+            assert simulate_gm(_config(orbit_lengths=lengths, workers=2)) == serial
+            assert simulate_gm(_config(orbit_lengths=lengths, workers=3)) == serial
 
     def test_pool_width_is_capped_by_cpu_count(self, monkeypatch):
         widths = []
@@ -160,18 +163,75 @@ class TestSimulateGm:
             def __init__(self, max_workers):
                 widths.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         simulate_gm(_config(workers=10**6))
         assert widths == [min(10**6, os.cpu_count() or 1)]
+
+    def test_next_length_is_queued_before_this_one_is_read(self, monkeypatch):
+        # A pool that runs a block only when its result is read, so the
+        # blocks submitted but not yet read are the ones outstanding.
+        submitted = []
+        outstanding = set()
+        peak = []
+
+        class LazyFuture:
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+
+            def result(self):
+                outstanding.discard(self.args[-2:])
+                return self.fn(*self.args)
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                cell = args[-2:]
+                submitted.append(cell)
+                outstanding.add(cell)
+                peak.append(len({m_idx for m_idx, _ in outstanding}))
+                return LazyFuture(fn, args)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        lengths = (10, 40, 160, 640)
+        simulate_gm(_config(orbit_lengths=lengths, workers=2))
+        blocks = -(-MIN_SAMPLES // cltsim._BLOCK)
+        assert submitted == [(m, b) for m in range(len(lengths)) for b in range(blocks)]
+        assert max(peak) == 2
+        assert not outstanding
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_block_propagates_and_stops_the_pool(self, workers, monkeypatch):
+        failure = RuntimeError("block failed")
+        cells = []
+        sample_sums = cltsim._sample_sums
+
+        def failing(values, probabilities, m, size, seed, m_idx, block_idx):
+            cells.append((m_idx, block_idx))
+            if (m_idx, block_idx) == (0, 1):
+                raise failure
+            return sample_sums(values, probabilities, m, size, seed, m_idx, block_idx)
+
+        monkeypatch.setattr(cltsim, "_sample_sums", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            simulate_gm(_config(orbit_lengths=(10, 40, 160, 640), workers=workers))
+        assert raised.value is failure
+        assert threading.active_count() == threads
+        # Lengths 0 and 1 were queued when the failure was read; the rest never were.
+        assert {m_idx for m_idx, _ in cells} <= {0, 1}
 
     def test_sample_moments_match_theory(self):
         report = simulate_gm(_config(orbit_lengths=(400,), samples_per_m=20_000))

@@ -67,6 +67,23 @@ class TestSubshiftSpec:
             SubshiftSpec(2, ((0, 0), (1, 1)))
         with pytest.raises(DomainError):
             SubshiftSpec(2, ((1, 0), (1, 0)))
+        with pytest.raises(DomainError, match="2x2"):
+            SubshiftSpec(2, ((1, 1), (1,)))
+        # Entries that are not exactly 0 or 1 are errors, never truncated.
+        for entry in (0.5, 0.7, -1, math.nan, math.inf, "1", None, 1j):
+            with pytest.raises(DomainError, match="0 or 1"):
+                SubshiftSpec(2, ((1, entry), (1, 1)))
+
+    def test_allowed_is_one_read_only_array(self):
+        space = SubshiftSpec(2, ((1.0, True), (1, 0)))
+        assert space.transition == ((1, 1), (1, 0))
+        assert all(type(x) is int for row in space.transition for x in row)
+        assert space == SubshiftSpec(2, ((1, 1), (1, 0)))
+        assert hash(space) == hash(SubshiftSpec(2, ((1, 1), (1, 0))))
+        assert space.allowed.dtype == bool
+        assert not space.allowed.flags.writeable
+        assert np.array_equal(space.allowed, [[True, True], [True, False]])
+        assert SubshiftSpec(2).allowed is None
 
     @pytest.mark.parametrize(
         "transition, period",
