@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SizeLimitError
 from .pressure import pressure
-from .symbolic import MAX_TABLE_SIZE, CylinderPotential, SubshiftSpec
+from .symbolic import MAX_TABLE_SIZE, CylinderPotential, SubshiftSpec, _whole
 
 __all__ = [
     "DecayingPotentialSpec",
@@ -47,15 +48,18 @@ class DecayingPotentialSpec:
     r: float
 
     def __post_init__(self) -> None:
-        n = int(self.n)
+        n = _whole(self.n, "n")
         if n < 2:
             raise DomainError(f"alphabet size must be at least 2, got {n}")
-        f = tuple(float(x) for x in self.f)
+        try:
+            f = tuple(_number(x, "base table entry") for x in self.f)
+        except TypeError:  # not iterable
+            raise DomainError(f"base table must be a list of numbers, got {self.f!r}") from None
         if len(f) != n:
             raise DomainError(f"base table must have {n} entries, got {len(f)}")
         if any(not math.isfinite(x) for x in f):
             raise DomainError("base table entries must be finite")
-        r = float(self.r)
+        r = _number(self.r, "decay ratio")
         if not 0.0 < r < 1.0:
             raise DomainError(f"decay ratio must lie in (0, 1), got {r!r}")
         object.__setattr__(self, "n", n)
@@ -82,7 +86,7 @@ class DecayingPotentialSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "DecayingPotentialSpec":
         try:
-            return cls(int(data["n"]), tuple(data["f"]), float(data["r"]))
+            return cls(data["n"], data["f"], data["r"])
         except KeyError as missing:
             raise DomainError(f"decay spec is missing key {missing}") from None
 
@@ -95,6 +99,13 @@ class DecayingPotentialSpec:
         if not isinstance(data, dict):
             raise DomainError("decay spec JSON must be an object")
         return cls.from_dict(data)
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float; a bool, string or other non-number is an error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise DomainError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

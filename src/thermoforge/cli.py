@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -55,19 +54,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(path: str) -> tuple[str, str, str]:
-    """Read a file (or stdin for ``-``); returns (label, text, sha256)."""
-    if path == "-":
-        text = sys.stdin.read()
-        label = "<stdin>"
-    else:
-        try:
+    """Read a UTF-8 file (or stdin for ``-``); returns (label, text, sha256)."""
+    # Imported here so that importing the CLI does not load it (about 3.6 MB).
+    import hashlib
+
+    label = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
-            raise DomainError(f"cannot read input file {path!r}: {err}") from None
-        label = path
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return label, text, digest
+        data = text.encode("utf-8")  # stdin may decode with surrogate escapes
+    except OSError as err:
+        raise DomainError(f"cannot read input file {path!r}: {err}") from None
+    except UnicodeError as err:
+        raise DomainError(f"input {label} is not UTF-8 text: {err}") from None
+    return label, text, hashlib.sha256(data).hexdigest()
 
 
 def _manifest(args: argparse.Namespace, digests: dict, seed=None) -> dict:
@@ -221,10 +224,7 @@ def _load_potential(path: str) -> tuple[CylinderPotential, dict]:
 
 def _cmd_pressure(args: argparse.Namespace) -> int:
     potential, digests = _load_potential(args.potential)
-    if potential.space.transition is not None:
-        value = pressure_spectral(potential, args.t)
-    else:
-        value = pressure(potential, args.t)
+    value = (pressure if potential.space.is_full_shift else pressure_spectral)(potential, args.t)
     payload = {"t": args.t, "pressure": value}
     if args.order > 0:
         jet = pressure_jet(potential, args.t, args.order)

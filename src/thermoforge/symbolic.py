@@ -15,10 +15,9 @@ windows are stored.
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,98 +41,101 @@ MAX_ALPHABET = 2**16
 MAX_TABLE_SIZE = 2**26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SubshiftSpec:
     """Alphabet size plus an optional 0/1 transition matrix.
 
     ``transition[i][j] == 1`` means symbol ``j`` may follow symbol ``i``.
-    ``None`` means the full shift.  The ``irreducible`` flag (strong
-    connectivity of the transition graph) and the graph's ``period`` (the
-    gcd of its cycle lengths; 1 for the full shift) are computed at
-    construction, and so is ``allowed``: the transition matrix as a
-    read-only bool array, ``None`` for the full shift.
+    The matrix is stored once, as the read-only bool array ``allowed`` that
+    equality, hashing and ``transition`` read; both are ``None`` for the full
+    shift.  ``irreducible`` (strong connectivity) and ``period`` (the gcd of
+    the cycle lengths; 1 for the full shift) are computed at construction.
     """
 
     n: int
-    transition: tuple[tuple[int, ...], ...] | None = None
-    irreducible: bool = field(init=False, compare=False)
-    period: int = field(init=False, compare=False)
-    allowed: np.ndarray | None = field(init=False, compare=False, repr=False)
+    allowed: np.ndarray | None
+    irreducible: bool
+    period: int
 
-    def __post_init__(self) -> None:
-        if not 2 <= int(self.n) <= MAX_ALPHABET:
-            raise DomainError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        if self.transition is None:
-            object.__setattr__(self, "irreducible", True)
-            object.__setattr__(self, "period", 1)
-            object.__setattr__(self, "allowed", None)
-            return
-        try:
-            matrix = np.asarray(self.transition)
-        except ValueError:
-            matrix = None  # ragged rows
-        if matrix is None or matrix.shape != (self.n, self.n):
-            raise DomainError(f"transition matrix must be {self.n}x{self.n}")
-        # Strings, None and the like fail the dtype test; NaN, infinities and
-        # fractions fail the 0/1 test instead of being truncated.
-        if matrix.dtype.kind not in "biuf" or not np.all((matrix == 0) | (matrix == 1)):
-            raise DomainError("transition entries must be 0 or 1")
-        allowed = matrix == 1
-        allowed.setflags(write=False)
-        if not allowed.any(axis=1).all():
-            raise DomainError("transition matrix has an all-zero row")
-        if not allowed.any(axis=0).all():
-            raise DomainError("transition matrix has an all-zero column")
-        rows = tuple(map(tuple, allowed.astype(int).tolist()))
-        object.__setattr__(self, "transition", rows)
-        object.__setattr__(self, "allowed", allowed)
-        irreducible, period = _connectivity(rows)
-        object.__setattr__(self, "irreducible", irreducible)
-        object.__setattr__(self, "period", period)
+    def __init__(self, n: int, transition: Sequence[Sequence[int]] | np.ndarray | None = None):
+        n = _whole(n, "n")
+        if not 2 <= n <= MAX_ALPHABET:
+            raise DomainError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {n}")
+        allowed = None if transition is None else _allowed(transition, n)
+        irreducible, period = (True, 1) if allowed is None else _connectivity(allowed)
+        vars(self).update(n=n, allowed=allowed, irreducible=irreducible, period=period)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SubshiftSpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.n, None if self.allowed is None else self.allowed.tobytes()
+
+    @property
+    def transition(self) -> tuple[tuple[int, ...], ...] | None:
+        """The transition matrix as rows of ints, rebuilt from ``allowed``."""
+        if self.allowed is None:
+            return None
+        return tuple(map(tuple, self.allowed.astype(int).tolist()))
 
     @property
     def is_full_shift(self) -> bool:
-        return self.transition is None
+        return self.allowed is None
 
     def transition_matrix(self) -> np.ndarray | None:
         """Transition matrix as a float array, or ``None`` for the full shift."""
-        if self.allowed is None:
-            return None
-        return self.allowed.astype(np.float64)
+        return None if self.allowed is None else self.allowed.astype(np.float64)
 
 
-def _connectivity(rows: tuple[tuple[int, ...], ...]) -> tuple[bool, int]:
+def _allowed(transition, n: int) -> np.ndarray:
+    """``transition`` checked and copied into a read-only bool array."""
+    try:
+        matrix = np.asarray(transition)
+    except ValueError:
+        matrix = None  # ragged rows
+    if matrix is None or matrix.shape != (n, n):
+        raise DomainError(f"transition matrix must be {n}x{n}")
+    allowed = matrix.astype(bool) if matrix.dtype.kind in "biuf" else None
+    # Strings, None and the like fail the dtype test; NaN, infinities and
+    # fractions fail the 0/1 test instead of being truncated.
+    if allowed is None or not np.array_equal(allowed, matrix):
+        raise DomainError("transition entries must be 0 or 1")
+    allowed.setflags(write=False)
+    if not allowed.any(axis=1).all():
+        raise DomainError("transition matrix has an all-zero row")
+    if not allowed.any(axis=0).all():
+        raise DomainError("transition matrix has an all-zero column")
+    return allowed
+
+
+def _connectivity(allowed: np.ndarray) -> tuple[bool, int]:
     """Strong connectivity and period of the transition graph.
 
-    One breadth-first search from symbol 0 labels every reached symbol
-    with its level; the period is the gcd of ``level[i] + 1 - level[j]``
-    over the edges ``i -> j`` between reached symbols.
+    The period is the gcd of ``level[i] + 1 - level[j]`` over the edges
+    ``i -> j`` from the symbols that a search from 0 reaches, row by row.
     """
-    n = len(rows)
-
-    def levels(adj: Sequence[Sequence[int]]) -> list:
-        level: list = [None] * n
-        level[0] = 0
-        frontier = [0]
-        for i in frontier:
-            for j in range(n):
-                if adj[i][j] and level[j] is None:
-                    level[j] = level[i] + 1
-                    frontier.append(j)
-        return level
-
-    forward = levels(rows)
-    reverse = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
-    irreducible = None not in forward and None not in levels(reverse)
+    level = _levels(allowed)
+    irreducible = bool(level.min() >= 0 and _levels(allowed.T).min() >= 0)
     period = 0
-    for i in range(n):
-        if forward[i] is None:
-            continue
-        for j in range(n):
-            if rows[i][j]:
-                period = math.gcd(period, forward[i] + 1 - forward[j])
+    for i in np.flatnonzero(level >= 0):
+        period = int(np.gcd.reduce(level[i] + 1 - level[allowed[i]], initial=period))
+        if period == 1:
+            break
     return irreducible, period
+
+
+def _levels(adjacency: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from symbol 0, ``-1`` where unreached."""
+    level = np.full(len(adjacency), -1)
+    frontier = np.arange(len(adjacency)) == 0
+    while frontier.any():
+        level[frontier] = level.max() + 1
+        # The next level ORs the frontier's rows, less the symbols seen.
+        frontier = adjacency[frontier].any(axis=0) & (level < 0)
+    return level
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +168,10 @@ class CylinderPotential:
         return potential
 
     def _freeze(self, copy: bool) -> None:
-        if int(self.window) < 1:
-            raise DomainError(f"window must be >= 1, got {self.window}")
-        object.__setattr__(self, "window", int(self.window))
+        window = _whole(self.window, "window")
+        if window < 1:
+            raise DomainError(f"window must be >= 1, got {window}")
+        object.__setattr__(self, "window", window)
         size = self.space.n**self.window
         if size > MAX_TABLE_SIZE:
             raise SizeLimitError(
@@ -266,8 +269,8 @@ def potential_to_dict(potential: CylinderPotential) -> dict:
         "window": potential.window,
         "values": [float(v) for v in potential.values],
     }
-    if potential.space.transition is not None:
-        out["transition"] = [list(row) for row in potential.space.transition]
+    if potential.space.allowed is not None:
+        out["transition"] = potential.space.allowed.astype(int).tolist()
     return out
 
 
@@ -278,8 +281,8 @@ def potential_from_dict(obj: dict) -> CylinderPotential:
     missing = {"n", "window", "values"} - set(obj)
     if missing:
         raise DomainError(f"potential spec missing keys: {sorted(missing)}")
-    space = SubshiftSpec(_whole(obj, "n"), obj.get("transition"))
-    window = _whole(obj, "window")
+    space = SubshiftSpec(obj["n"], obj.get("transition"))
+    window = _whole(obj["window"], "window")
     try:
         values = np.asarray(obj["values"])
     except ValueError:  # ragged nesting
@@ -293,14 +296,13 @@ def potential_from_dict(obj: dict) -> CylinderPotential:
         raise DomainError(f"potential values must be numbers: {err}") from None
 
 
-def _whole(obj: dict, key: str) -> int:
-    """``obj[key]`` as an int; a fraction, bool or non-number is an error."""
-    value = obj[key]
+def _whole(value, name: str) -> int:
+    """``value`` as an int; a fraction, bool, string or other non-number is an error."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise DomainError(f"{key!r} must be an integer, got {value!r}")
+    raise DomainError(f"{name!r} must be an integer, got {value!r}")
 
 
 def potential_from_json(text: str) -> CylinderPotential:

@@ -35,6 +35,23 @@ class TestSpec:
         with pytest.raises(DomainError):
             DecayingPotentialSpec(2, (0.0, 1.0), 1.0)
 
+    def test_sizes_and_entries_are_checked_not_truncated(self):
+        assert DecayingPotentialSpec(3.0, (0, 1, 2), 0.5).n == 3
+        assert type(DecayingPotentialSpec(np.int64(2), (0.0, 1.0), 0.5).n) is int
+        for n in (3.7, "3", True):
+            with pytest.raises(DomainError, match="'n' must be an integer"):
+                DecayingPotentialSpec(n, (0.0, 1.0, 2.0), 0.5)
+        for f in ((0.1, None, 0.3), "abc", (0.1, "0.2", 0.3), (0.1, True, 0.3)):
+            with pytest.raises(DomainError, match="base table entry must be a number"):
+                DecayingPotentialSpec(3, f, 0.5)
+        with pytest.raises(DomainError, match="list of numbers"):
+            DecayingPotentialSpec(3, None, 0.5)
+        for r in ("x", "0.5", None):
+            with pytest.raises(DomainError, match="decay ratio must be a number"):
+                DecayingPotentialSpec(2, (0.0, 1.0), r)
+        with pytest.raises(DomainError, match="decay ratio"):
+            DecayingPotentialSpec(2, (0.0, 1.0), math.nan)
+
     def test_tail_bounds(self):
         spec = DecayingPotentialSpec(2, (-1.0, 3.0), 0.5)
         # max|f| = 3, span = 4, 1/(1-r) = 2.

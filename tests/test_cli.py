@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, manifests, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -423,6 +424,23 @@ class TestApproxCommand:
         assert payload["spec"] == GOLDEN_DECAY
         assert [row["window"] for row in payload["rows"]] == [1, 3, 5]
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"n": 3.7}, "'n' must be an integer"),
+            ({"f": [0.1, None, 0.3]}, "base table entry must be a number"),
+            ({"r": "x"}, "decay ratio must be a number"),
+            ({"f": "abc"}, "base table entry must be a number"),
+        ],
+    )
+    def test_malformed_spec_exits_2(self, change, error, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 3, "f": [0.1, 0.2, 0.3], "r": 0.5, **change}))
+        assert cli.main(["approx", "--spec", str(path), "--t", "1.0", "--windows", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err and error in captured.err
+
 
 class TestSelftestCommand:
     def test_exits_zero_and_reports_checks(self):
@@ -537,6 +555,34 @@ class TestOutsideInput:
         assert cli.main(argv) == 2
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["file", "stdin", "stdin-surrogateescape"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pressure", "--potential", "INPUT", "--t", "1.0"],
+            ["rigidity", "--potential", "INPUT", "--grid", "0.5", "--mphi", "1.0"],
+            ["cltsim", "--potential", "INPUT", "--tstar", "0", "--m", "10",
+             "--samples", "10000"],
+            ["approx", "--spec", "INPUT", "--t", "1.0", "--windows", "1"],
+        ],
+        ids=["pressure", "rigidity", "cltsim", "approx"],
+    )
+    def test_input_that_is_not_utf8_exits_2(self, argv, source, tmp_path, monkeypatch, capsys):
+        raw = b"\xff\xfe{}"
+        if source == "file":
+            path = tmp_path / "input.json"
+            path.write_bytes(raw)
+            argv = [str(path) if arg == "INPUT" else arg for arg in argv]
+        else:
+            errors = "surrogateescape" if source.endswith("surrogateescape") else "strict"
+            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)
+            monkeypatch.setattr(sys, "stdin", stdin)
+            argv = ["-" if arg == "INPUT" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err and "not UTF-8" in captured.err
+
     def test_long_range_fails_on_the_count(self):
         tracemalloc.start()
         try:
@@ -573,7 +619,7 @@ def test_import_loads_no_scipy():
 def test_thread_pool_loads_with_the_first_simulation():
     code = (
         "import sys, thermoforge, thermoforge.cli; "
-        "print('concurrent.futures' in sys.modules); "
+        "print('concurrent.futures' in sys.modules, '_hashlib' in sys.modules); "
         "from thermoforge.cltsim import SimConfig, simulate_gm; "
         "phi = thermoforge.CylinderPotential(thermoforge.SubshiftSpec(2), 1, [0.0, 1.0]); "
         "simulate_gm(SimConfig(phi, 0.5, (10,), 10_000, 1, 2)); "
@@ -587,7 +633,7 @@ def test_thread_pool_loads_with_the_first_simulation():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def test_parser_is_built_on_first_use_only():

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoforge.errors import (
     DomainError,
@@ -13,6 +16,7 @@ from thermoforge.errors import (
 )
 from thermoforge.symbolic import (
     BernoulliWeights,
+    _connectivity,
     CylinderPotential,
     SubshiftSpec,
     equilibrium_weights,
@@ -28,6 +32,105 @@ def _full_shift_potential(values, window=1):
     values = np.asarray(values, dtype=np.float64)
     n = round(len(values) ** (1.0 / window))
     return CylinderPotential(SubshiftSpec(n), window, values)
+
+
+def _connectivity_oracle(rows):
+    """Strong connectivity and period by plain Python breadth-first search.
+
+    The reference for the numpy ``_connectivity``: levels from symbol 0
+    over the edges and over the reversed edges, and the gcd of
+    ``level[i] + 1 - level[j]`` over every edge ``i -> j`` from a reached
+    symbol.
+    """
+    n = len(rows)
+
+    def levels(adj):
+        level = [None] * n
+        level[0] = 0
+        frontier = [0]
+        for i in frontier:
+            for j in range(n):
+                if adj[i][j] and level[j] is None:
+                    level[j] = level[i] + 1
+                    frontier.append(j)
+        return level
+
+    forward = levels(rows)
+    reverse = tuple(tuple(rows[j][i] for j in range(n)) for i in range(n))
+    irreducible = None not in forward and None not in levels(reverse)
+    period = 0
+    for i in range(n):
+        if forward[i] is None:
+            continue
+        for j in range(n):
+            if rows[i][j]:
+                period = math.gcd(period, forward[i] + 1 - forward[j])
+    return irreducible, period
+
+
+@st.composite
+def _graphs(draw):
+    """Random, cyclic, periodic and reducible graphs on 2 to 12 symbols."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(("random", "cycle", "periodic", "reducible")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = rng.random((n, n)) < draw(st.floats(0.05, 0.9))
+    if kind == "cycle":
+        edges = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    elif kind == "periodic":
+        # Edges run from class c to class c + 1 (mod p) only, and symbol c
+        # (of class c) has an edge to every symbol of class c + 1 and from
+        # every symbol of class c - 1: irreducible with period p.
+        p = draw(st.integers(2, n))
+        classes = np.concatenate([np.arange(p), rng.integers(0, p, n - p)])
+        edges &= (classes[:, None] + 1) % p == classes[None, :]
+        edges[np.arange(n), (classes + 1) % p] = True
+        edges[(classes - 1) % p, np.arange(n)] = True
+    elif kind == "reducible":
+        split = draw(st.integers(1, n - 1))
+        edges[split:, :split] = False
+    order = rng.permutation(n)  # so that symbol 0 plays no special part
+    return edges[np.ix_(order, order)]
+
+
+_KNOWN_GRAPHS = [
+    (((1, 1), (1, 0)), True, 1),  # golden mean
+    (((0, 1), (1, 0)), True, 2),  # swap
+    (((1, 1), (0, 1)), False, 1),  # upper triangular
+    (((0, 1, 0), (0, 0, 1), (1, 0, 0)), True, 3),
+    (((0, 1, 1), (1, 0, 1), (1, 1, 0)), True, 1),
+    (((0, 1, 1), (0, 0, 1), (1, 0, 0)), True, 1),  # cycles of length 2 and 3
+    (((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)), True, 2),
+    (((1, 1, 1), (1, 1, 1), (1, 1, 1)), True, 1),
+    (((0, 1, 0), (1, 0, 0), (0, 0, 1)), False, 2),  # a 2-cycle beside a loop
+    (((0, 1, 0), (1, 0, 0), (1, 0, 1)), False, 2),  # the loop is not reached
+]
+
+
+class TestConnectivity:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_graphs())
+    def test_matches_the_python_search(self, edges):
+        rows = tuple(map(tuple, edges.astype(int).tolist()))
+        assert _connectivity(edges) == _connectivity_oracle(rows)
+        if edges.any(axis=0).all() and edges.any(axis=1).all():
+            space = SubshiftSpec(len(edges), edges)
+            assert (space.irreducible, space.period) == _connectivity_oracle(rows)
+
+    @pytest.mark.parametrize("rows, irreducible, period", _KNOWN_GRAPHS)
+    def test_known_graphs(self, rows, irreducible, period):
+        assert _connectivity_oracle(rows) == (irreducible, period)
+        space = SubshiftSpec(len(rows), rows)
+        assert (space.irreducible, space.period) == (irreducible, period)
+
+    def test_long_cycle(self):
+        n = 4096
+        cycle = np.zeros((n, n), dtype=bool)
+        cycle[np.arange(n), (np.arange(n) + 1) % n] = True
+        assert _connectivity(cycle) == (True, n)
+        cycle[0, 1] = False
+        cycle[0, 2] = True  # skips symbol 1, which is still a way into 2
+        assert _connectivity(cycle) == (False, n - 1)
 
 
 class TestSubshiftSpec:
@@ -85,6 +188,59 @@ class TestSubshiftSpec:
         assert np.array_equal(space.allowed, [[True, True], [True, False]])
         assert SubshiftSpec(2).allowed is None
 
+    def test_equality_and_hash_do_not_depend_on_the_input_type(self):
+        rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+        inputs = (
+            rows,
+            [list(row) for row in rows],
+            np.array(rows),
+            np.array(rows, dtype=np.uint8),
+            np.array(rows, dtype=float),
+            np.array(rows, dtype=bool),
+        )
+        spaces = [SubshiftSpec(3, matrix) for matrix in inputs]
+        spaces.append(SubshiftSpec(n=3, transition=rows))
+        for space in spaces:
+            assert space == spaces[0]
+            assert hash(space) == hash(spaces[0])
+            assert space.transition == rows
+            assert all(type(x) is int for row in space.transition for x in row)
+        assert len(set(spaces)) == 1
+        assert spaces[0] != SubshiftSpec(3, np.ones((3, 3), dtype=bool))
+        assert spaces[0] != SubshiftSpec(3)
+        assert spaces[0] != rows
+        assert SubshiftSpec(3) == SubshiftSpec(3)
+        assert hash(SubshiftSpec(3)) == hash(SubshiftSpec(3))
+        assert SubshiftSpec(3) != SubshiftSpec(4)
+
+    def test_input_array_is_copied(self):
+        matrix = np.array([[1, 1], [1, 0]], dtype=bool)
+        space = SubshiftSpec(2, matrix)
+        matrix[1, 1] = True
+        assert space.transition == ((1, 1), (1, 0))
+        assert space.allowed is not matrix
+
+    def test_large_alphabet_keeps_one_matrix(self):
+        n = 4096
+        matrix = np.random.default_rng(0).integers(0, 5, (n, n), dtype=np.uint8) == 0
+        tracemalloc.start()
+        try:
+            space = SubshiftSpec(n, matrix)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1.1 * matrix.nbytes
+        assert peak < 3 * matrix.nbytes
+        assert (space.irreducible, space.period) == (True, 1)
+        assert np.array_equal(space.allowed, matrix)
+
+    def test_sizes_are_whole_numbers(self):
+        assert SubshiftSpec(3.0).n == 3
+        assert type(SubshiftSpec(np.int64(3)).n) is int
+        for bad in (2.9, "3", True, None, math.nan):
+            with pytest.raises(DomainError, match="'n' must be an integer"):
+                SubshiftSpec(bad)
+
     @pytest.mark.parametrize(
         "transition, period",
         [
@@ -134,6 +290,13 @@ class TestCylinderPotential:
             CylinderPotential(SubshiftSpec(2), 0, [1.0])
         with pytest.raises(DomainError):
             CylinderPotential(SubshiftSpec(2), 1, [1.0, np.inf])
+
+    def test_window_is_a_whole_number(self):
+        assert CylinderPotential(SubshiftSpec(2), 1.0, [0.0, 1.0]).window == 1
+        assert type(CylinderPotential(SubshiftSpec(2), np.int64(1), [0.0, 1.0]).window) is int
+        for bad in (1.5, "1", True):
+            with pytest.raises(DomainError, match="'window' must be an integer"):
+                CylinderPotential(SubshiftSpec(2), bad, [0.0, 1.0])
 
     def test_huge_tables_are_refused(self):
         with pytest.raises(SizeLimitError):
