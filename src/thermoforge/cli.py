@@ -405,7 +405,7 @@ def _selftest_checks():
         exact = math.log((a + math.sqrt(a * a + 4.0 * a * b)) / 2.0)
         value = pressure_spectral(golden, t)
         assert abs(value - exact) <= 1e-12 * abs(exact), (value, exact)
-        # The swap graph has period 2 and runs the sigma-shifted iteration.
+        # The swap graph has period 2: the iteration stalls until it shifts itself.
         swap = CylinderPotential(SubshiftSpec(2, ((0, 1), (1, 0))), 1, c)
         exact = t * (c[0] + c[1]) / 2.0
         value = pressure_spectral(swap, t)

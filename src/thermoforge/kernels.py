@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "PowerResult",
     "damped_newton",
     "debruijn_power",
     "newton_step",
@@ -48,13 +49,27 @@ __all__ = [
 # contraction, lam = sum(y) and x = y * (1 / lam).  The residual test
 # |y - lam x|_1 <= tol * lam costs three more passes, so it runs only on
 # every _RESIDUAL_EVERY-th step and on the last allowed step; a converged
-# call reports the step whose test passed.  The kernel returns the leading
-# eigenvalue of the weighted adjacency plus sigma times the identity;
-# sigma > 0 breaks periodic stalls without changing the answer (the
-# eigenvalue shifts by exactly sigma).
+# call reports the step whose test passed.  Each step applies the
+# weighted adjacency A plus sigma I, which shares A's Perron vector, and
+# the kernel returns rho = lam - sigma.  From step _STALL_FROM on, a test
+# whose scaled residual |y - lam x|_1 / lam is not half that of the test
+# _STALL_SPAN steps before, as on a periodic or nearly periodic graph,
+# switches sigma once to the current rho, which makes a periodic A + sigma I
+# primitive (Horn & Johnson, Matrix Analysis, 8.5).
 # ---------------------------------------------------------------------------
 
 _RESIDUAL_EVERY = 4
+_STALL_FROM = 64
+_STALL_SPAN = 32
+
+
+class PowerResult(tuple):
+    """``(rho, iterations, converged)``, and the ``sigma`` the last step used."""
+
+    def __new__(cls, rho: float, iterations: int, converged: bool, sigma: float):
+        result = super().__new__(cls, (rho, iterations, converged))
+        result.sigma = sigma
+        return result
 
 
 def debruijn_power(
@@ -65,8 +80,8 @@ def debruijn_power(
     max_iter: int = 100_000,
     sigma: float = 0.0,
     succ: np.ndarray | None = None,
-) -> tuple[float, int, bool]:
-    """Leading eigenvalue of the word-graph transfer matrix plus ``sigma*I``.
+) -> PowerResult:
+    """Spectral radius ``rho`` of the word-graph transfer matrix.
 
     ``weights`` holds one non-negative weight per length-``w`` word,
     last-symbol-major: the word ``u * n + j`` (state ``u``, appended
@@ -77,7 +92,9 @@ def debruijn_power(
     and ``succ[j * tail + b]`` is the index into the iterate of the state
     that appending ``j`` to a state ``(a, b)`` reaches (the same for
     every ``a``).  ``succ=None`` is the full grid, where that index is
-    ``b * n + j``.  Returns ``(eigenvalue, iterations, converged)``.
+    ``b * n + j``.  Returns ``(rho, iterations, converged)``, whose
+    ``sigma`` is the shift of the last step: it starts at ``sigma``, which
+    does not change ``rho``, and switches once if the iteration stalls.
     The residual ``|y - lam x|_1 <= tol * lam`` is tested on every
     fourth step and on step ``max_iter``, so ``iterations`` is a
     multiple of 4 or ``max_iter``; an unconverged call reports
@@ -92,7 +109,9 @@ def debruijn_power(
     y = np.empty(n_states)
     xt = np.empty((n, tail))
     y_ab, x_bj, scratch = y.reshape(n, tail), x.reshape(tail, n), xt.reshape(-1)
-    lam = 0.0
+    rho = 0.0
+    # Scaled residuals of the last _STALL_SPAN steps' tests; None once sigma switched.
+    recent = [math.inf] * (_STALL_SPAN // _RESIDUAL_EVERY)
     if succ is not None:
         succ = np.ascontiguousarray(succ, dtype=np.intp)
     for it in range(1, max_iter + 1):
@@ -107,12 +126,20 @@ def debruijn_power(
             y += np.multiply(sigma, x, out=scratch)
         lam = y.sum()
         if it % _RESIDUAL_EVERY == 0 or it == max_iter:
+            rho = lam - sigma
             np.multiply(lam, x, out=scratch)
             np.subtract(y, scratch, out=scratch)
-            if np.abs(scratch, out=scratch).sum() <= tol * lam:
-                return lam, it, True
+            residual = np.abs(scratch, out=scratch).sum()
+            if residual <= tol * lam:
+                return PowerResult(rho, it, True, sigma)
+            if recent is not None:
+                slot = it // _RESIDUAL_EVERY % len(recent)
+                if it >= _STALL_FROM and residual / lam > 0.5 * recent[slot]:
+                    sigma, recent = rho, None
+                else:
+                    recent[slot] = residual / lam
         np.multiply(y, 1.0 / lam, out=x)
-    return lam, max_iter, False
+    return PowerResult(rho, max_iter, False, sigma)
 
 
 def newton_step(j11, j12, j21, j22, f1, f2):

@@ -40,8 +40,6 @@ __all__ = [
 ]
 
 MAX_JET_ORDER = 12
-_POWER_TOL = 1e-13
-_POWER_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,8 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
     the iterate through a successor index where the full grid makes a
     strided copy.  If some ``t * value`` overflows, the result is that
     infinity, as in the window-1 closed form.  Requires an irreducible
-    transition matrix.
+    transition matrix; a periodic one needs no special case, since the
+    power iteration shifts itself when the graph's period stalls it.
     """
     if potential.space.is_full_shift:
         raise UnsupportedConfigurationError(
@@ -217,7 +216,7 @@ def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
             weights = potential.values.take(index)
             np.multiply(t, weights, out=weights)
             # Forbidden words get weight exp(-inf) = 0 and so cannot set the
-            # scale; the largest allowed weight is 1, comparable to sigma below.
+            # scale; the largest allowed weight is 1.
             np.copyto(weights, -np.inf, where=forbidden)
         shift = float(weights.max())
         if not math.isfinite(shift):
@@ -227,21 +226,14 @@ def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
         weights -= shift
     np.exp(weights, out=weights)
     tail = weights.size // (n * n)
-    # A periodic graph has several eigenvalues on the spectral circle and
-    # never converges unshifted; the shift sigma*I makes it primitive.
-    sigmas = (1.0,) if potential.space.period > 1 else (0.0, 1.0)
-    tried = []
-    for sigma in sigmas:
-        lam, iterations, converged = kernels.debruijn_power(
-            weights, n, tail, _POWER_TOL, _POWER_MAX_ITER, sigma, succ
+    radius, iterations, converged = result = kernels.debruijn_power(weights, n, tail, succ=succ)
+    if not converged:
+        raise ConvergenceError(
+            f"power iteration did not converge in {iterations} steps (shift {result.sigma:g})"
         )
-        if converged:
-            radius = lam - sigma
-            if radius <= 0.0:
-                raise NumericError("transfer matrix has non-positive leading eigenvalue")
-            return shift + math.log(radius)
-        tried.append(f"sigma={sigma:g} after {iterations} iterations")
-    raise ConvergenceError("power iteration did not converge: " + ", ".join(tried))
+    if radius <= 0.0:
+        raise NumericError("transfer matrix has non-positive leading eigenvalue")
+    return shift + math.log(radius)
 
 
 def pressure_jet(potential: CylinderPotential, t_star: float, order: int) -> TaylorJet:

@@ -48,22 +48,25 @@ class SubshiftSpec:
     ``transition[i][j] == 1`` means symbol ``j`` may follow symbol ``i``.
     The matrix is stored once, as the read-only bool array ``allowed`` that
     equality, hashing and ``transition`` read; both are ``None`` for the full
-    shift.  ``irreducible`` (strong connectivity) and ``period`` (the gcd of
-    the cycle lengths; 1 for the full shift) are computed at construction.
+    shift.  ``irreducible`` (strong connectivity) is computed at
+    construction.  Pickling and copying rebuild the space through the
+    constructor.
     """
 
     n: int
     allowed: np.ndarray | None
     irreducible: bool
-    period: int
 
     def __init__(self, n: int, transition: Sequence[Sequence[int]] | np.ndarray | None = None):
         n = _whole(n, "n")
         if not 2 <= n <= MAX_ALPHABET:
             raise DomainError(f"alphabet size must be in [2, {MAX_ALPHABET}], got {n}")
         allowed = None if transition is None else _allowed(transition, n)
-        irreducible, period = (True, 1) if allowed is None else _connectivity(allowed)
-        vars(self).update(n=n, allowed=allowed, irreducible=irreducible, period=period)
+        irreducible = allowed is None or _irreducible(allowed)
+        vars(self).update(n=n, allowed=allowed, irreducible=irreducible)
+
+    def __reduce__(self):
+        return SubshiftSpec, (self.n, self.allowed)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SubshiftSpec) and self._key() == other._key()
@@ -111,31 +114,17 @@ def _allowed(transition, n: int) -> np.ndarray:
     return allowed
 
 
-def _connectivity(allowed: np.ndarray) -> tuple[bool, int]:
-    """Strong connectivity and period of the transition graph.
-
-    The period is the gcd of ``level[i] + 1 - level[j]`` over the edges
-    ``i -> j`` from the symbols that a search from 0 reaches, row by row.
-    """
-    level = _levels(allowed)
-    irreducible = bool(level.min() >= 0 and _levels(allowed.T).min() >= 0)
-    period = 0
-    for i in np.flatnonzero(level >= 0):
-        period = int(np.gcd.reduce(level[i] + 1 - level[allowed[i]], initial=period))
-        if period == 1:
-            break
-    return irreducible, period
-
-
-def _levels(adjacency: np.ndarray) -> np.ndarray:
-    """Breadth-first levels from symbol 0, ``-1`` where unreached."""
-    level = np.full(len(adjacency), -1)
-    frontier = np.arange(len(adjacency)) == 0
-    while frontier.any():
-        level[frontier] = level.max() + 1
-        # The next level ORs the frontier's rows, less the symbols seen.
-        frontier = adjacency[frontier].any(axis=0) & (level < 0)
-    return level
+def _irreducible(allowed: np.ndarray) -> bool:
+    """Strong connectivity: a search from symbol 0 reaches every symbol both ways."""
+    for adjacency in (allowed, allowed.T):
+        seen = frontier = np.arange(len(allowed)) == 0
+        while frontier.any():
+            # The next level ORs the frontier's rows, less the symbols seen.
+            frontier = adjacency[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,15 +274,16 @@ def potential_from_dict(obj: dict) -> CylinderPotential:
     window = _whole(obj["window"], "window")
     try:
         values = np.asarray(obj["values"])
-    except ValueError:  # ragged nesting
+        # An int past int64 makes an object array, where None would read as NaN.
+        if values.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in values.flat):
+            values = values.astype(np.float64)
+    except (ValueError, OverflowError):  # ragged nesting; an int past float range
         values = None
     # Strings would otherwise be parsed as numbers, and bools read as 0 and 1.
-    if values is None or values.dtype.kind not in "iufO":
+    if values is None or values.dtype.kind not in "iuf":
         raise DomainError("potential values must be numbers")
-    try:
-        return CylinderPotential(space, window, values)
-    except (TypeError, ValueError) as err:  # an object entry such as None
-        raise DomainError(f"potential values must be numbers: {err}") from None
+    # The constructor's own errors (window, table size, count) pass through.
+    return CylinderPotential(space, window, values)
 
 
 def _whole(value, name: str) -> int:

@@ -146,6 +146,22 @@ class TestPressureCommand:
         assert captured.out == ""
         assert "domain error" in captured.err and error in captured.err
 
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            ({"n": 2, "window": 0, "values": [0.0]}, "window must be >= 1, got 0"),
+            ({"n": 2, "window": 1, "values": [0.0, 1.0, 2.0]}, "expected 2 values, got 3"),
+            ({"n": 2, "window": 27, "values": [0.0]}, "table size 2**27 exceeds 67108864"),
+        ],
+    )
+    def test_constructor_errors_keep_their_message(self, spec, error, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["pressure", "--potential", str(path), "--t", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"thermoforge: domain error: {error}\n"
+
     def test_integral_floats_are_sizes(self, tmp_path, capsys):
         path = tmp_path / "sizes.json"
         path.write_text(json.dumps({"n": 2.0, "window": 1.0, "values": [0, 1]}))

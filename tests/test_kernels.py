@@ -51,21 +51,39 @@ class TestPowerIteration:
         expected = np.abs(np.linalg.eigvals(dense)).max()
         layout = weights.reshape(-1, n).T.ravel()
         result = kernels.debruijn_power(layout, n, tail, sigma=sigma)
-        lam, _, converged = result
+        rho, _, converged = result
         assert converged
-        assert lam - sigma == pytest.approx(expected, rel=1e-10)
+        assert rho == pytest.approx(expected, rel=1e-10)
         # A successor index spelling out the (tail, n) transposition is the
         # same step, bit for bit.
         succ = (np.arange(tail) * n + np.arange(n)[:, None]).ravel()
         assert kernels.debruijn_power(layout, n, tail, sigma=sigma, succ=succ) == result
 
     def test_sigma_shifts_eigenvalue_by_exactly_sigma(self):
+        # The iteration runs on A + sigma*I, whose eigenvalue is rho + sigma
+        # exactly, and takes sigma off again: a starting shift never changes rho.
         rng = np.random.default_rng(11)
         weights = np.exp(rng.uniform(-1.0, 0.0, size=16))
-        lam0, _, c0 = kernels.debruijn_power(weights, 2, 4)
-        lam1, _, c1 = kernels.debruijn_power(weights, 2, 4, sigma=0.25)
-        assert c0 and c1
-        assert lam1 - 0.25 == pytest.approx(lam0, rel=1e-12)
+        rho0 = kernels.debruijn_power(weights, 2, 4)[0]
+        for sigma in (0.0, 0.25, 1.0, 10.0):
+            result = kernels.debruijn_power(weights, 2, 4, sigma=sigma)
+            rho, _, converged = result
+            assert converged
+            assert rho == pytest.approx(rho0, rel=1e-12)
+            assert result.sigma == sigma  # no stall, so the shift never switched
+
+    def test_periodic_table_converges_from_sigma_zero(self):
+        # The 3-cycle at window 2: only the words 01, 12 and 20 have weight,
+        # so the unshifted iterate cycles with period 3 until the shift
+        # switches to the estimate of rho at step 64.
+        weights = np.zeros(9)
+        weights[[1, 5, 6]] = (0.3, 1.0, 0.6)
+        result = kernels.debruijn_power(weights.reshape(-1, 3).T.ravel(), 3, 1, sigma=0.0)
+        rho, iterations, converged = result
+        assert converged
+        assert 64 < iterations < 300
+        assert rho == pytest.approx((0.3 * 1.0 * 0.6) ** (1.0 / 3.0), rel=1e-12)
+        assert result.sigma > 0.0
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -78,12 +96,12 @@ class TestPowerIteration:
         weights = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, size=n**window))
         tail = n ** (window - 2)
         expected = np.abs(np.linalg.eigvals(_dense_word_graph(weights, n, tail))).max()
-        lam, iterations, converged = kernels.debruijn_power(
+        rho, iterations, converged = kernels.debruijn_power(
             weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma
         )
         assert converged
         assert iterations % 4 == 0
-        assert lam - sigma == pytest.approx(expected, rel=1e-10)
+        assert rho == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("max_iter", range(1, 10))
     def test_last_allowed_step_is_tested(self, max_iter):

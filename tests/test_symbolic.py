@@ -1,7 +1,9 @@
 """Shift-space descriptions, word indexing, and product-measure weights."""
 
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,7 @@ from thermoforge.errors import (
 )
 from thermoforge.symbolic import (
     BernoulliWeights,
-    _connectivity,
+    _irreducible,
     CylinderPotential,
     SubshiftSpec,
     equilibrium_weights,
@@ -37,10 +39,10 @@ def _full_shift_potential(values, window=1):
 def _connectivity_oracle(rows):
     """Strong connectivity and period by plain Python breadth-first search.
 
-    The reference for the numpy ``_connectivity``: levels from symbol 0
-    over the edges and over the reversed edges, and the gcd of
+    The reference for the numpy ``_irreducible``: levels from symbol 0
+    over the edges and over the reversed edges.  The period, the gcd of
     ``level[i] + 1 - level[j]`` over every edge ``i -> j`` from a reached
-    symbol.
+    symbol, labels the known graphs.
     """
     n = len(rows)
 
@@ -112,25 +114,24 @@ class TestConnectivity:
     @given(_graphs())
     def test_matches_the_python_search(self, edges):
         rows = tuple(map(tuple, edges.astype(int).tolist()))
-        assert _connectivity(edges) == _connectivity_oracle(rows)
+        irreducible = _connectivity_oracle(rows)[0]
+        assert _irreducible(edges) is irreducible
         if edges.any(axis=0).all() and edges.any(axis=1).all():
-            space = SubshiftSpec(len(edges), edges)
-            assert (space.irreducible, space.period) == _connectivity_oracle(rows)
+            assert SubshiftSpec(len(edges), edges).irreducible is irreducible
 
     @pytest.mark.parametrize("rows, irreducible, period", _KNOWN_GRAPHS)
     def test_known_graphs(self, rows, irreducible, period):
         assert _connectivity_oracle(rows) == (irreducible, period)
-        space = SubshiftSpec(len(rows), rows)
-        assert (space.irreducible, space.period) == (irreducible, period)
+        assert SubshiftSpec(len(rows), rows).irreducible is irreducible
 
     def test_long_cycle(self):
         n = 4096
         cycle = np.zeros((n, n), dtype=bool)
         cycle[np.arange(n), (np.arange(n) + 1) % n] = True
-        assert _connectivity(cycle) == (True, n)
+        assert _irreducible(cycle)
         cycle[0, 1] = False
         cycle[0, 2] = True  # skips symbol 1, which is still a way into 2
-        assert _connectivity(cycle) == (False, n - 1)
+        assert not _irreducible(cycle)
 
 
 class TestSubshiftSpec:
@@ -231,7 +232,7 @@ class TestSubshiftSpec:
             tracemalloc.stop()
         assert kept < 1.1 * matrix.nbytes
         assert peak < 3 * matrix.nbytes
-        assert (space.irreducible, space.period) == (True, 1)
+        assert space.irreducible
         assert np.array_equal(space.allowed, matrix)
 
     def test_sizes_are_whole_numbers(self):
@@ -242,19 +243,20 @@ class TestSubshiftSpec:
                 SubshiftSpec(bad)
 
     @pytest.mark.parametrize(
-        "transition, period",
-        [
-            (None, 1),
-            (((1, 1), (1, 0)), 1),
-            (((0, 1), (1, 0)), 2),
-            (((0, 1, 0), (0, 0, 1), (1, 0, 0)), 3),
-            (((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)), 2),
-            (((0, 1, 1), (0, 0, 1), (1, 0, 0)), 1),  # cycles of length 2 and 3
-        ],
+        "round_trip", [lambda space: pickle.loads(pickle.dumps(space)), copy.deepcopy]
     )
-    def test_period_is_gcd_of_cycle_lengths(self, transition, period):
-        n = 2 if transition is None else len(transition)
-        assert SubshiftSpec(n, transition).period == period
+    @pytest.mark.parametrize("transition", [None, ((1, 1), (1, 0)), ((1, 1), (0, 1))])
+    def test_pickle_and_deepcopy_rebuild_a_read_only_space(self, round_trip, transition):
+        space = SubshiftSpec(2, transition)
+        copied = round_trip(space)
+        assert copied == space and hash(copied) == hash(space)
+        assert copied.irreducible == space.irreducible
+        if transition is None:
+            assert copied.allowed is None
+        else:
+            assert not copied.allowed.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                copied.allowed[0, 0] = False
 
 
 class TestWordIndexing:
@@ -410,6 +412,17 @@ class TestSerialization:
         wrapped = json.dumps({"potential": potential_to_dict(phi), "extra": 1})
         back = potential_from_json(wrapped)
         assert np.array_equal(back.values, phi.values)
+
+    def test_constructor_errors_pass_through(self):
+        with pytest.raises(SizeLimitError, match=r"^table size 2\*\*27 exceeds"):
+            potential_from_dict({"n": 2, "window": 27, "values": [0.0]})
+        with pytest.raises(DomainError, match=r"^expected 2 values, got 3$"):
+            potential_from_dict({"n": 2, "window": 1, "values": [0.0, 1.0, 2.0]})
+        for values in ([0.0, None], [10**20, None], [0.0, {}], [0.0, 10**400]):
+            with pytest.raises(DomainError, match=r"^potential values must be numbers$"):
+                potential_from_dict({"n": 2, "window": 1, "values": values})
+        big = potential_from_dict({"n": 2, "window": 1, "values": [10**20, 1]})
+        assert big.values.tolist() == [1e20, 1.0]
 
     def test_json_errors_are_domain_errors(self):
         with pytest.raises(DomainError):
