@@ -43,32 +43,34 @@ __all__ = [
 # j leads to from (., b), so the copy becomes the gather xt = x[succ].  The gather
 # costs about twice the strided copy per state, which the full shift,
 # where no state is dead, would pay for nothing.  x, y and xt are
-# the only state-sized buffers (xt is scratch for the shift and the
-# residual once the contraction has read it); nothing is allocated per
+# the only state-sized buffers (xt is scratch for the ratios and the
+# shift once the contraction has read it); nothing is allocated per
 # step.  An ordinary step is four array passes: the copy or gather, the
-# contraction, lam = sum(y) and x = y * (1 / lam).  The residual test
-# |y - lam x|_1 <= tol * lam costs three more passes, so it runs only on
-# every _RESIDUAL_EVERY-th step and on the last allowed step; a converged
-# call reports the step whose test passed.  Each step applies the
-# weighted adjacency A plus sigma I, which shares A's Perron vector, and
-# the kernel returns rho = lam - sigma.  From step _STALL_FROM on, a test
-# whose scaled residual |y - lam x|_1 / lam is not half that of the test
-# _STALL_SPAN steps before, as on a periodic or nearly periodic graph,
-# switches sigma once to the current rho, which makes a periodic A + sigma I
-# primitive (Horn & Johnson, Matrix Analysis, 8.5).
+# contraction y = Ax, the sum and x = y * (1 / sum), which keeps sum(x) = 1.
+# Every _TEST_EVERY-th step, and the last allowed one, also writes the
+# ratios r = (Ax) / x into xt and tests the Collatz-Wielandt bracket
+# min r <= rho <= max r (Collatz 1942; Wielandt 1950; Horn & Johnson,
+# Matrix Analysis, 8.1).  The ratios are read before sigma x is added, so
+# the bracket and the returned sum(Ax) are on rho itself at every sigma;
+# while sigma is 0 that sum is also the step's normaliser.  A state whose
+# words all have weight 0 has a zero row and, after one step, x = 0: its
+# ratio 0/0 is replaced by sum(Ax), which moves neither end.  A bracket
+# width that has not halved over _STALL_SPAN steps, checked from
+# _STALL_FROM on, switches sigma once to sqrt(min r * max r), which makes
+# a periodic A + sigma I primitive (Horn & Johnson, 8.5).
 # ---------------------------------------------------------------------------
 
-_RESIDUAL_EVERY = 4
+_TEST_EVERY = 4
 _STALL_FROM = 64
 _STALL_SPAN = 32
 
 
 class PowerResult(tuple):
-    """``(rho, iterations, converged)``, and the ``sigma`` the last step used."""
+    """``(rho, iterations, converged)``, with the last ``sigma`` and the final ``bracket``."""
 
-    def __new__(cls, rho: float, iterations: int, converged: bool, sigma: float):
+    def __new__(cls, rho: float, iterations: int, converged: bool, sigma: float, bracket: tuple):
         result = super().__new__(cls, (rho, iterations, converged))
-        result.sigma = sigma
+        result.sigma, result.bracket = sigma, bracket
         return result
 
 
@@ -92,54 +94,64 @@ def debruijn_power(
     and ``succ[j * tail + b]`` is the index into the iterate of the state
     that appending ``j`` to a state ``(a, b)`` reaches (the same for
     every ``a``).  ``succ=None`` is the full grid, where that index is
-    ``b * n + j``.  Returns ``(rho, iterations, converged)``, whose
-    ``sigma`` is the shift of the last step: it starts at ``sigma``, which
-    does not change ``rho``, and switches once if the iteration stalls.
-    The residual ``|y - lam x|_1 <= tol * lam`` is tested on every
-    fourth step and on step ``max_iter``, so ``iterations`` is a
-    multiple of 4 or ``max_iter``; an unconverged call reports
-    ``max_iter``.
+    ``b * n + j``.
+
+    Returns ``(rho, iterations, converged)``, whose ``sigma`` is the
+    shift of the last step and whose ``bracket`` is the last
+    Collatz-Wielandt bracket ``(min r, max r)`` of ``rho``, with
+    ``r = (Ax) / x`` over the states that have a nonzero row.  ``rho`` is
+    ``sum(Ax)`` for the iterate ``x`` of sum 1, a weighted mean of ``r``,
+    so it lies in the bracket up to rounding.  The call converges once
+    ``max r - min r <= tol * min r``, which bounds the relative error of
+    ``rho``.  The shift starts at ``sigma``, which does not change
+    ``rho``, and switches once to ``sqrt(min r * max r)`` if the
+    bracket's width has not halved over 32 steps, checked from step 64.
+    The bracket is tested on every fourth step and on step ``max_iter``,
+    so ``iterations`` is a multiple of 4 or ``max_iter``; an unconverged
+    call reports ``max_iter``.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    n, tail, tol, max_iter = int(n), int(tail), float(tol), int(max_iter)
-    sigma = float(sigma)
+    n, tail, tol, max_iter, sigma = int(n), int(tail), float(tol), int(max_iter), float(sigma)
     n_states = weights.size // n
     table = weights.reshape(n, n, tail)
     x = np.full(n_states, 1.0 / n_states)
     y = np.empty(n_states)
     xt = np.empty((n, tail))
     y_ab, x_bj, scratch = y.reshape(n, tail), x.reshape(tail, n), xt.reshape(-1)
-    rho = 0.0
-    # Scaled residuals of the last _STALL_SPAN steps' tests; None once sigma switched.
-    recent = [math.inf] * (_STALL_SPAN // _RESIDUAL_EVERY)
+    # .min() reads the table without the temporary that .all() would make.
+    dead = ~table.any(axis=0).reshape(-1) if weights.min() == 0.0 else None
+    # width is the bracket's width at the last stall check; None once sigma switched.
+    lam, bracket, width = 0.0, (0.0, math.inf), math.inf
     if succ is not None:
         succ = np.ascontiguousarray(succ, dtype=np.intp)
-    for it in range(1, max_iter + 1):
-        if succ is None:
-            np.copyto(xt, x_bj.T)
-        else:
-            # "clip" writes straight into xt; "raise" would buffer the output.
-            x.take(succ, out=scratch, mode="clip")
-        # Plain einsum: optimize=True routes this through a slower path.
-        np.einsum("jab,jb->ab", table, xt, out=y_ab)
-        if sigma != 0.0:
-            y += np.multiply(sigma, x, out=scratch)
-        lam = y.sum()
-        if it % _RESIDUAL_EVERY == 0 or it == max_iter:
-            rho = lam - sigma
-            np.multiply(lam, x, out=scratch)
-            np.subtract(y, scratch, out=scratch)
-            residual = np.abs(scratch, out=scratch).sum()
-            if residual <= tol * lam:
-                return PowerResult(rho, it, True, sigma)
-            if recent is not None:
-                slot = it // _RESIDUAL_EVERY % len(recent)
-                if it >= _STALL_FROM and residual / lam > 0.5 * recent[slot]:
-                    sigma, recent = rho, None
-                else:
-                    recent[slot] = residual / lam
-        np.multiply(y, 1.0 / lam, out=x)
-    return PowerResult(rho, max_iter, False, sigma)
+    # A dead state's ratio is 0/0 until it is replaced.
+    with np.errstate(invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if succ is None:
+                np.copyto(xt, x_bj.T)
+            else:
+                # "clip" writes straight into xt; "raise" would buffer the output.
+                x.take(succ, out=scratch, mode="clip")
+            # Plain einsum: optimize=True routes this through a slower path.
+            np.einsum("jab,jb->ab", table, xt, out=y_ab)
+            lam = y.sum()
+            if it % _TEST_EVERY == 0 or it == max_iter:
+                np.divide(y, x, out=scratch)
+                if dead is not None:
+                    np.putmask(scratch, dead, lam)
+                bracket = low, high = scratch.min(), scratch.max()
+                if high - low <= tol * low:
+                    return PowerResult(lam, it, True, sigma, bracket)
+                if width is not None and it % _STALL_SPAN == 0:
+                    if it >= _STALL_FROM and high - low > 0.5 * width:
+                        sigma, width = math.sqrt(low * high), None
+                    else:
+                        width = high - low
+            if sigma != 0.0:
+                y += np.multiply(sigma, x, out=scratch)
+            # sum(y) is lam + sigma * sum(x), and sum(x) is 1.
+            np.multiply(y, 1.0 / (lam + sigma), out=x)
+    return PowerResult(lam, max_iter, False, sigma, bracket)
 
 
 def newton_step(j11, j12, j21, j22, f1, f2):

@@ -139,9 +139,14 @@ def pressure_spectral(potential: CylinderPotential, t: float) -> float:
     forbidden (from window 4 on, if ``A`` has a zero), each step gathers
     the iterate through a successor index where the full grid makes a
     strided copy.  If some ``t * value`` overflows, the result is that
-    infinity, as in the window-1 closed form.  Requires an irreducible
-    transition matrix; a periodic one needs no special case, since the
-    power iteration shifts itself when the graph's period stalls it.
+    infinity, as in the window-1 closed form.  The iteration stops once
+    the width of its Collatz-Wielandt bracket
+    ``min (Ax)_i/x_i <= rho <= max (Ax)_i/x_i``, over the states with a
+    nonzero row, is at most ``1e-13`` times the bracket's lower end, which
+    bounds the relative error of the radius by ``1e-13``.
+    Requires an irreducible transition matrix; a periodic one needs no
+    special case, since the power iteration shifts itself to the
+    bracket's geometric mean when the graph's period stalls it.
     """
     if potential.space.is_full_shift:
         raise UnsupportedConfigurationError(
@@ -228,8 +233,10 @@ def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
     tail = weights.size // (n * n)
     radius, iterations, converged = result = kernels.debruijn_power(weights, n, tail, succ=succ)
     if not converged:
+        low, high = result.bracket
         raise ConvergenceError(
-            f"power iteration did not converge in {iterations} steps (shift {result.sigma:g})"
+            f"power iteration did not converge in {iterations} steps "
+            f"(shift {result.sigma:g}, bracket [{low:.17g}, {high:.17g}])"
         )
     if radius <= 0.0:
         raise NumericError("transfer matrix has non-positive leading eigenvalue")

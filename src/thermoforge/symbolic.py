@@ -133,6 +133,7 @@ class CylinderPotential:
 
     ``values[word_index(word, n)]`` is the value on the cylinder of the
     length-``w`` word; the table is stored as a read-only float64 array.
+    Pickling and copying rebuild the potential through the constructor.
     """
 
     space: SubshiftSpec
@@ -141,6 +142,9 @@ class CylinderPotential:
 
     def __post_init__(self) -> None:
         self._freeze(copy=True)
+
+    def __reduce__(self):
+        return CylinderPotential, (self.space, self.window, self.values)
 
     @classmethod
     def _adopt(cls, space: SubshiftSpec, window: int, values: np.ndarray) -> "CylinderPotential":

@@ -60,8 +60,9 @@ class TestPowerIteration:
         assert kernels.debruijn_power(layout, n, tail, sigma=sigma, succ=succ) == result
 
     def test_sigma_shifts_eigenvalue_by_exactly_sigma(self):
-        # The iteration runs on A + sigma*I, whose eigenvalue is rho + sigma
-        # exactly, and takes sigma off again: a starting shift never changes rho.
+        # The iteration runs on A + sigma*I, which shares A's Perron vector,
+        # and its bracket reads Ax before sigma*x is added: a starting shift
+        # never changes rho.
         rng = np.random.default_rng(11)
         weights = np.exp(rng.uniform(-1.0, 0.0, size=16))
         rho0 = kernels.debruijn_power(weights, 2, 4)[0]
@@ -75,7 +76,7 @@ class TestPowerIteration:
     def test_periodic_table_converges_from_sigma_zero(self):
         # The 3-cycle at window 2: only the words 01, 12 and 20 have weight,
         # so the unshifted iterate cycles with period 3 until the shift
-        # switches to the estimate of rho at step 64.
+        # switches to the bracket's geometric mean at step 64.
         weights = np.zeros(9)
         weights[[1, 5, 6]] = (0.3, 1.0, 0.6)
         result = kernels.debruijn_power(weights.reshape(-1, 3).T.ravel(), 3, 1, sigma=0.0)
@@ -96,12 +97,17 @@ class TestPowerIteration:
         weights = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, size=n**window))
         tail = n ** (window - 2)
         expected = np.abs(np.linalg.eigvals(_dense_word_graph(weights, n, tail))).max()
-        rho, iterations, converged = kernels.debruijn_power(
-            weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma
-        )
+        result = kernels.debruijn_power(weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma)
+        rho, iterations, converged = result
         assert converged
         assert iterations % 4 == 0
         assert rho == pytest.approx(expected, rel=1e-10)
+        # The bracket is at most tol wide and holds, up to rounding, both the
+        # returned weighted mean and the dense eigenvalue.
+        low, high = result.bracket
+        assert high - low <= 1e-13 * low
+        assert low * (1.0 - 1e-14) <= rho <= high * (1.0 + 1e-14)
+        assert low * (1.0 - 1e-14) <= expected <= high * (1.0 + 1e-14)
 
     @pytest.mark.parametrize("max_iter", range(1, 10))
     def test_last_allowed_step_is_tested(self, max_iter):

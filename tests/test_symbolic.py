@@ -312,6 +312,20 @@ class TestCylinderPotential:
         with pytest.raises(ValueError):
             phi.values[0] = 1.0
 
+    @pytest.mark.parametrize(
+        "round_trip", [lambda phi: pickle.loads(pickle.dumps(phi)), copy.deepcopy]
+    )
+    @pytest.mark.parametrize("transition", [None, ((1, 1), (1, 0))])
+    def test_pickle_and_deepcopy_rebuild_a_read_only_potential(self, round_trip, transition):
+        phi = CylinderPotential(SubshiftSpec(2, transition), 2, [0.0, 1.0, 2.0, 3.0])
+        copied = round_trip(phi)
+        assert copied.space == phi.space and copied.window == phi.window
+        assert np.array_equal(copied.values, phi.values)
+        assert copied.values.dtype == np.float64
+        assert not copied.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            copied.values[0] = 1.0
+
     def test_shifted_adds_constant(self):
         phi = _full_shift_potential([0.0, 1.0])
         assert np.array_equal(phi.shifted(2.5).values, [2.5, 3.5])
