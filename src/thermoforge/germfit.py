@@ -202,7 +202,10 @@ def fit_level2(germ: Germ, n: int) -> FitResult:
                 return probes[k]
         return None
 
-    first = converged(range(_first_reachable_split(germ, n), n))
+    # The least split that can meet the slope target: the slope limit
+    # (a0 - log(n - k))/t_star grows with k and exceeds a1 at k = n - 1.
+    ks = np.arange(1, n, dtype=np.int64)
+    first = converged(range(int(ks[np.argmax(_slope_reachable(germ, n, ks))]), n))
     last = first and converged(range(n - 1, first[0] - 1, -1))
     # Keep curvature(lo) < target <= curvature(hi) while the pair is apart;
     # a failed probe moves to its nearest converged neighbour in between.
@@ -297,22 +300,6 @@ def _check_splits(germ: Germ, n: int, failed: int, low: float | None) -> None:
         )
     if low < -1e-10:
         raise NumericError(f"negative curvature {low} from a converged split")
-
-
-def _first_reachable_split(germ: Germ, n: int) -> int:
-    """The least ``k`` whose split ``(k, n-k)`` can meet the slope target.
-
-    The slope limit ``(a0 - log(n - k))/t_star`` grows with ``k`` and
-    exceeds ``a1`` at ``k = n - 1`` for a feasible germ.
-    """
-    lo, hi = 0, n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _slope_reachable(germ, n, np.array([mid]))[0]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _solve_slider(

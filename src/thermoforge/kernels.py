@@ -30,36 +30,44 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Word-graph power iteration.
 #
-# States are words of length w-1 over n symbols, encoded base-n; appending
-# symbol j to state u = a * tail + b (tail = n**(w-2)) moves to b * n + j.
-# The kernel takes its weights last-symbol-major: weights[j * n_states + u]
-# is the (already exponentiated, scaled) weight of the length-w word
-# u * n + j.  Viewed as table[j, a, b], one step is the contraction
+# The layout contract.  States are words of length w-1 over n symbols,
+# encoded base-n; appending symbol j to state u = a * tail + b
+# (tail = n**(w-2), 1 for w <= 2) moves to b * n + j.  The kernel takes
+# the (already exponentiated, scaled) weights last-symbol-major, as
+# table[j, a, b] = the weight of the length-w word a·b·j, with shape
+# (n, n, tail) in C order; any array of that many entries is read so, and
+# tail = weights.size // n**2.  One step is the contraction
 # y[a, b] = sum_j table[j, a, b] * x[b, j], with the iterate x copied into
 # xt[j, b] = x[b, j] first, so numpy's inner loop runs along the long b
 # axis rather than over the n symbols.  A constrained graph can run on a
 # compressed grid instead: b ranges over its allowed (w-2)-words only
 # (tail of them), and succ[j * tail + b] names the cell of the state that
-# j leads to from (., b), so the copy becomes the gather xt = x[succ].  The gather
-# costs about twice the strided copy per state, which the full shift,
-# where no state is dead, would pay for nothing.  x, y and xt are
-# the only state-sized buffers (xt is scratch for the ratios and the
-# shift once the contraction has read it); nothing is allocated per
-# step.  An ordinary step is four array passes: the copy or gather, the
-# contraction y = Ax, the sum and x = y * (1 / sum), which keeps sum(x) = 1.
-# Every _TEST_EVERY-th step, and the last allowed one, also writes the
-# ratios r = (Ax) / x into xt and tests the Collatz-Wielandt bracket
-# min r <= rho <= max r (Collatz 1942; Wielandt 1950; Horn & Johnson,
-# Matrix Analysis, 8.1).  The ratios are read before sigma x is added, so
-# the bracket and the returned sum(Ax) are on rho itself at every sigma;
-# while sigma is 0 that sum is also the step's normaliser.  A state whose
-# words all have weight 0 has a zero row and, after one step, x = 0: its
-# ratio 0/0 is replaced by sum(Ax), which moves neither end.  A bracket
-# width that has not halved over _STALL_SPAN steps, checked from
-# _STALL_FROM on, switches sigma once to sqrt(min r * max r), which makes
-# a periodic A + sigma I primitive (Horn & Johnson, 8.5).
+# j leads to from (., b), the same for every a, so the copy becomes the
+# gather xt = x[succ].  succ=None is the full grid, where that cell is
+# b * n + j.  The gather costs about twice the strided copy per state,
+# which the full shift, where no state is dead, would pay for nothing.
+#
+# x, y and xt are the only state-sized buffers (xt is scratch for the
+# ratios and the shift once the contraction has read it); nothing is
+# allocated per step.  An ordinary step is four array passes: the copy or
+# gather, the contraction y = Ax, the sum and x = y * (1 / sum), which
+# keeps sum(x) = 1.  Every _TEST_EVERY-th step, and the last allowed one,
+# also writes the ratios r = (Ax) / x into xt and tests the
+# Collatz-Wielandt bracket min r <= rho <= max r (Collatz 1942; Wielandt
+# 1950; Horn & Johnson, Matrix Analysis, 8.1).  The ratios are read before
+# sigma x is added, so the bracket and the returned sum(Ax) are on rho
+# itself at every sigma; while sigma is 0 that sum is also the step's
+# normaliser.  A state whose words all have weight 0 has a zero row and,
+# after one step, x = 0: its ratio 0/0 is replaced by sum(Ax), which moves
+# neither end.  A bracket width that has not halved over _STALL_SPAN
+# steps, checked from _STALL_FROM on, switches sigma once to
+# sqrt(min r * max r), which makes a periodic A + sigma I primitive
+# (Horn & Johnson, 8.5).  The call stops once max r - min r <= _TOL * min r,
+# or after _MAX_ITER steps.
 # ---------------------------------------------------------------------------
 
+_TOL = 1e-13
+_MAX_ITER = 100_000
 _TEST_EVERY = 4
 _STALL_FROM = 64
 _STALL_SPAN = 32
@@ -75,44 +83,24 @@ class PowerResult(tuple):
 
 
 def debruijn_power(
-    weights: np.ndarray,
-    n: int,
-    tail: int,
-    tol: float = 1e-13,
-    max_iter: int = 100_000,
-    sigma: float = 0.0,
-    succ: np.ndarray | None = None,
+    weights: np.ndarray, n: int, sigma: float = 0.0, succ: np.ndarray | None = None
 ) -> PowerResult:
     """Spectral radius ``rho`` of the word-graph transfer matrix.
 
-    ``weights`` holds one non-negative weight per length-``w`` word,
-    last-symbol-major: the word ``u * n + j`` (state ``u``, appended
-    symbol ``j``) at ``weights[j * n_states + u]``, i.e. the base-``n``
-    order reshaped to ``(n_states, n)`` and transposed.  ``tail`` is
-    ``n**(w-2)`` (1 for ``w = 2``).  With ``succ``, the grid is
-    compressed: ``tail`` is the number of cells ``b`` per head symbol,
-    and ``succ[j * tail + b]`` is the index into the iterate of the state
-    that appending ``j`` to a state ``(a, b)`` reaches (the same for
-    every ``a``).  ``succ=None`` is the full grid, where that index is
-    ``b * n + j``.
-
-    Returns ``(rho, iterations, converged)``, whose ``sigma`` is the
-    shift of the last step and whose ``bracket`` is the last
-    Collatz-Wielandt bracket ``(min r, max r)`` of ``rho``, with
-    ``r = (Ax) / x`` over the states that have a nonzero row.  ``rho`` is
-    ``sum(Ax)`` for the iterate ``x`` of sum 1, a weighted mean of ``r``,
-    so it lies in the bracket up to rounding.  The call converges once
-    ``max r - min r <= tol * min r``, which bounds the relative error of
-    ``rho``.  The shift starts at ``sigma``, which does not change
-    ``rho``, and switches once to ``sqrt(min r * max r)`` if the
-    bracket's width has not halved over 32 steps, checked from step 64.
-    The bracket is tested on every fourth step and on step ``max_iter``,
-    so ``iterations`` is a multiple of 4 or ``max_iter``; an unconverged
-    call reports ``max_iter``.
+    ``weights`` and ``succ`` follow the layout contract, and the stop and
+    shift rules are those of this module's header; the shift starts at
+    ``sigma``, which does not change ``rho``.  Returns ``(rho, iterations,
+    converged)``, whose ``sigma`` is the shift of the last step and whose
+    ``bracket`` is the last ``(min r, max r)`` over the states that have a
+    nonzero row.  ``rho`` is ``sum(Ax)`` for the iterate of sum 1, a
+    weighted mean of ``r``, so it lies in the bracket up to rounding.
+    ``iterations`` is a multiple of 4 or ``_MAX_ITER``, which an
+    unconverged call reports.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    n, tail, tol, max_iter, sigma = int(n), int(tail), float(tol), int(max_iter), float(sigma)
+    n, sigma, tol, max_iter = int(n), float(sigma), _TOL, _MAX_ITER
     n_states = weights.size // n
+    tail = n_states // n
     table = weights.reshape(n, n, tail)
     x = np.full(n_states, 1.0 / n_states)
     y = np.empty(n_states)

@@ -23,9 +23,10 @@ from .errors import (
     DomainError,
     NumericError,
     OrderLimitError,
+    SizeLimitError,
     UnsupportedConfigurationError,
 )
-from .symbolic import CylinderPotential, SubshiftSpec, equilibrium_weights
+from .symbolic import MAX_TABLE_SIZE, CylinderPotential, SubshiftSpec, equilibrium_weights
 
 __all__ = [
     "MAX_JET_ORDER",
@@ -174,16 +175,14 @@ def _live_word_grid(space: SubshiftSpec, window: int):
     ``(window-2)``-words ``b`` (the empty word for windows 1 and 2), as
     sorted base-``n`` codes built one appended symbol at a time, so no
     array has ``n**window`` entries (Lind & Marcus 1995, §4.4).  Returns
-    ``(index, forbidden, succ)`` in the kernel's last-symbol-major
-    layout: ``index[j, a, b]`` is the position of the word ``a·b·j``
-    among the potential's values (just ``j`` for window 1, whose word
-    ``(a, j)`` carries ``c_j``), ``forbidden[j, a, b]`` marks the words
-    the transition matrix forbids, and ``succ[j * m + b]`` is the cell of
-    the state ``b·j``: its head symbol times ``m`` plus the position of
-    its tail among the codes.  Where ``b·j`` is forbidden, ``succ`` holds
-    some cell in range whose weight is 0.  ``succ`` is ``None`` when no
-    ``b`` was trimmed, since the kernel's own transposition is then the
-    same map.
+    ``(codes, forbidden, succ)`` in the layout of the ``kernels`` header:
+    ``forbidden[j, a, b]`` marks the words ``a·b·j`` that the transition
+    matrix forbids, and ``succ`` is the kernel's successor index, with
+    some cell of weight 0 where ``b·j`` is forbidden; it is ``None`` when
+    no ``b`` was trimmed.  Raises :class:`SizeLimitError` before building
+    ``forbidden`` when the ``(n, n, m)`` table would exceed
+    ``MAX_TABLE_SIZE``, which a window-1 potential reaches past 8192
+    symbols.
     """
     n = space.n
     allowed = space.allowed
@@ -193,6 +192,8 @@ def _live_word_grid(space: SubshiftSpec, window: int):
         extend = allowed[codes % n] if length else np.ones((1, n), dtype=bool)
         codes = (codes[:, None] * n + symbols)[extend]
     m = codes.size
+    if n * n * m > MAX_TABLE_SIZE:
+        raise SizeLimitError(f"word table of {n}*{n}*{m} words exceeds {MAX_TABLE_SIZE}")
     succ = None
     if window <= 2:
         forbidden = ~allowed.T[:, :, None]
@@ -202,24 +203,26 @@ def _live_word_grid(space: SubshiftSpec, window: int):
         if m < n ** (window - 2):
             tails = np.searchsorted(codes, rest * n + symbols[:, None])
             succ = (first * m + np.minimum(tails, m - 1)).reshape(-1)
-    stride = n ** (window - 1) if window > 1 else 0
-    index = symbols[:, None] * stride + codes * n + symbols[:, None, None]
-    return index, forbidden, succ
+    return codes, forbidden, succ
 
 
 def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
-    n, w = potential.n, potential.window
-    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer
-    # in the kernel's last-symbol-major layout.  The full shift takes every
-    # word in place; a constrained space gathers its live cells only.
-    succ = None
+    n, values = potential.n, potential.values
+    # words[j, a, b] is the value of the word a·b·j, the kernel's layout, as a
+    # view; window 1 gives the word (a, j) the value c_j.
+    if potential.window == 1:
+        words = np.broadcast_to(values[:, None, None], (n, n, 1))
+    else:
+        words = values.reshape(n, -1, n).transpose(2, 0, 1)
+    forbidden = succ = None
+    if not potential.space.is_full_shift:
+        codes, forbidden, succ = _live_word_grid(potential.space, potential.window)
+        if succ is not None:
+            words = words[:, :, codes]
+    # t*values, the forbidden-word -inf and exp(. - shift) share one buffer.
     with np.errstate(over="ignore"):
-        if potential.space.is_full_shift:
-            weights = np.multiply(t, potential.values.reshape(-1, n).T, order="C")
-        else:
-            index, forbidden, succ = _live_word_grid(potential.space, w)
-            weights = potential.values.take(index)
-            np.multiply(t, weights, out=weights)
+        weights = np.multiply(t, words, order="C")
+        if forbidden is not None:
             # Forbidden words get weight exp(-inf) = 0 and so cannot set the
             # scale; the largest allowed weight is 1.
             np.copyto(weights, -np.inf, where=forbidden)
@@ -230,8 +233,7 @@ def _word_graph_log_radius(potential: CylinderPotential, t: float) -> float:
             return shift
         weights -= shift
     np.exp(weights, out=weights)
-    tail = weights.size // (n * n)
-    radius, iterations, converged = result = kernels.debruijn_power(weights, n, tail, succ=succ)
+    radius, iterations, converged = result = kernels.debruijn_power(weights, n, succ=succ)
     if not converged:
         low, high = result.bracket
         raise ConvergenceError(
@@ -290,25 +292,28 @@ def q_values(z, t: float) -> QValues:
     cannot overflow.  The pair sum equals ``q0`` times the weighted spread
     about the mean ``q1/q0``, so ``q2`` comes from that centred sum in
     O(n) (the stable two-pass weighted variance) and is audited against
-    the identity ``q2 = q0*r2 - q1**2`` before returning.
+    the identity ``q2 = q0*r2 - q1**2`` before returning; a ``t*z`` that
+    overflows even so fails that audit with :class:`NumericError`.
     """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if z.size == 0:
         raise DomainError("q_values requires at least one value")
     if not np.all(np.isfinite(z)):
         raise DomainError("q_values requires finite values")
-    t = float(t)
-    scaled = t * z
-    shift = float(scaled.max())
-    ey = np.exp(scaled - shift)
-    q0 = float(ey.sum())
-    q1 = float(z @ ey)
-    r2 = float((z * z) @ ey)
-    centred = z - q1 / q0
-    q2 = q0 * float((centred * centred) @ ey)
+    t = _finite_parameter(t)
+    # An overflowing t*z leaves nan in the sums for the audit to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = t * z
+        shift = float(scaled.max())
+        ey = np.exp(scaled - shift)
+        q0 = float(ey.sum())
+        q1 = float(z @ ey)
+        r2 = float((z * z) @ ey)
+        centred = z - q1 / q0
+        q2 = q0 * float((centred * centred) @ ey)
     residual = abs(q2 - (q0 * r2 - q1 * q1))
     tolerance = 1e-12 * abs(q2) + 1e-14 * abs(q0 * r2) + 1e-300
-    if residual > tolerance:
+    if not residual <= tolerance:
         raise NumericError(
             f"pair-sum identity violated: residual {residual:.3e} "
             f"exceeds tolerance {tolerance:.3e}"

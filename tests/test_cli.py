@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, manifests, exit codes."""
 
+import importlib
 import io
 import json
 import math
@@ -161,6 +162,19 @@ class TestPressureCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"thermoforge: domain error: {error}\n"
+
+    def test_word_table_past_the_ceiling_exits_2(self, tmp_path, monkeypatch, capsys):
+        # Four window-1 values pass the constructor, but the graph's word
+        # table has 4 * 4 words.
+        monkeypatch.setattr(importlib.import_module("thermoforge.pressure"), "MAX_TABLE_SIZE", 15)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 4, "window": 1, "values": [0.0, 1.0, 2.0, 3.0],
+                                    "transition": [[1, 1, 0, 0], [0, 1, 1, 0],
+                                                   [0, 0, 1, 1], [1, 0, 0, 1]]}))
+        assert cli.main(["pressure", "--potential", str(path), "--t", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "thermoforge: domain error: word table of 4*4*1 words exceeds 15\n"
 
     def test_integral_floats_are_sizes(self, tmp_path, capsys):
         path = tmp_path / "sizes.json"

@@ -33,9 +33,7 @@ class TestPowerIteration:
             for j in range(n):
                 dense[u, (u % tail) * n + j] += weights[u * n + j]
         expected = np.abs(np.linalg.eigvals(dense)).max()
-        lam, _, converged = kernels.debruijn_power(
-            weights.reshape(-1, n).T.ravel(), n, tail
-        )
+        lam, _, converged = kernels.debruijn_power(weights.reshape(-1, n).T.ravel(), n)
         assert converged
         assert lam == pytest.approx(expected, rel=1e-10)
 
@@ -50,14 +48,14 @@ class TestPowerIteration:
         dense = _dense_word_graph(weights, n, tail)
         expected = np.abs(np.linalg.eigvals(dense)).max()
         layout = weights.reshape(-1, n).T.ravel()
-        result = kernels.debruijn_power(layout, n, tail, sigma=sigma)
+        result = kernels.debruijn_power(layout, n, sigma=sigma)
         rho, _, converged = result
         assert converged
         assert rho == pytest.approx(expected, rel=1e-10)
         # A successor index spelling out the (tail, n) transposition is the
         # same step, bit for bit.
         succ = (np.arange(tail) * n + np.arange(n)[:, None]).ravel()
-        assert kernels.debruijn_power(layout, n, tail, sigma=sigma, succ=succ) == result
+        assert kernels.debruijn_power(layout, n, sigma=sigma, succ=succ) == result
 
     def test_sigma_shifts_eigenvalue_by_exactly_sigma(self):
         # The iteration runs on A + sigma*I, which shares A's Perron vector,
@@ -65,9 +63,9 @@ class TestPowerIteration:
         # never changes rho.
         rng = np.random.default_rng(11)
         weights = np.exp(rng.uniform(-1.0, 0.0, size=16))
-        rho0 = kernels.debruijn_power(weights, 2, 4)[0]
+        rho0 = kernels.debruijn_power(weights, 2)[0]
         for sigma in (0.0, 0.25, 1.0, 10.0):
-            result = kernels.debruijn_power(weights, 2, 4, sigma=sigma)
+            result = kernels.debruijn_power(weights, 2, sigma=sigma)
             rho, _, converged = result
             assert converged
             assert rho == pytest.approx(rho0, rel=1e-12)
@@ -79,7 +77,7 @@ class TestPowerIteration:
         # switches to the bracket's geometric mean at step 64.
         weights = np.zeros(9)
         weights[[1, 5, 6]] = (0.3, 1.0, 0.6)
-        result = kernels.debruijn_power(weights.reshape(-1, 3).T.ravel(), 3, 1, sigma=0.0)
+        result = kernels.debruijn_power(weights.reshape(-1, 3).T.ravel(), 3, sigma=0.0)
         rho, iterations, converged = result
         assert converged
         assert 64 < iterations < 300
@@ -97,7 +95,7 @@ class TestPowerIteration:
         weights = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, size=n**window))
         tail = n ** (window - 2)
         expected = np.abs(np.linalg.eigvals(_dense_word_graph(weights, n, tail))).max()
-        result = kernels.debruijn_power(weights.reshape(-1, n).T.ravel(), n, tail, sigma=sigma)
+        result = kernels.debruijn_power(weights.reshape(-1, n).T.ravel(), n, sigma=sigma)
         rho, iterations, converged = result
         assert converged
         assert iterations % 4 == 0
@@ -110,10 +108,11 @@ class TestPowerIteration:
         assert low * (1.0 - 1e-14) <= expected <= high * (1.0 + 1e-14)
 
     @pytest.mark.parametrize("max_iter", range(1, 10))
-    def test_last_allowed_step_is_tested(self, max_iter):
+    def test_last_allowed_step_is_tested(self, monkeypatch, max_iter):
         # All-ones weights on n=2, tail 1: the uniform start is already the
         # eigenvector, so whichever step is tested first passes.
-        lam, iterations, converged = kernels.debruijn_power(np.ones(4), 2, 1, max_iter=max_iter)
+        monkeypatch.setattr(kernels, "_MAX_ITER", max_iter)
+        lam, iterations, converged = kernels.debruijn_power(np.ones(4), 2)
         assert converged
         assert iterations <= max_iter
         assert lam == 2.0
@@ -124,15 +123,16 @@ class TestPowerIteration:
         state_bytes = 8 * n ** (window - 1)
         tracemalloc.start()
         try:
-            kernels.debruijn_power(weights, n, n ** (window - 2))
+            kernels.debruijn_power(weights, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3.1 * state_bytes
 
-    def test_reports_unconverged_when_iterations_run_out(self):
+    def test_reports_unconverged_when_iterations_run_out(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_MAX_ITER", 2)
         weights = np.exp(np.linspace(-1.0, 1.0, 16))
-        lam, iterations, converged = kernels.debruijn_power(weights, 2, 4, max_iter=2)
+        lam, iterations, converged = kernels.debruijn_power(weights, 2)
         assert not converged
         assert iterations == 2
         assert np.isfinite(lam)

@@ -1,5 +1,6 @@
 """Pressure values, derivative jets, and the constraint-sum quadruple."""
 
+import importlib
 import itertools
 import math
 import re
@@ -19,7 +20,9 @@ from thermoforge import kernels
 from thermoforge.errors import (
     ConvergenceError,
     DomainError,
+    NumericError,
     OrderLimitError,
+    SizeLimitError,
     UnsupportedConfigurationError,
 )
 from thermoforge.pressure import (
@@ -35,6 +38,9 @@ from thermoforge.pressure import (
     verify_derivative_formulas,
 )
 from thermoforge.symbolic import CylinderPotential, SubshiftSpec, word_index
+
+# The package's ``pressure`` attribute is the function, not this module.
+pressure_module = importlib.import_module("thermoforge.pressure")
 
 
 def _phi(values, window=1, transition=None):
@@ -180,11 +186,10 @@ class TestPeriodicGraphs:
 
 
 def test_unconverged_solve_names_each_shift_and_its_iterations(monkeypatch):
-    original = kernels.debruijn_power
+    full_run = kernels._MAX_ITER
 
     def stop_at(max_iter):
-        monkeypatch.setattr(kernels, "debruijn_power",
-                            lambda *args, **kwargs: original(*args, max_iter=max_iter, **kwargs))
+        monkeypatch.setattr(kernels, "_MAX_ITER", max_iter)
 
     stop_at(3)
     values = np.random.default_rng(9).uniform(-1.0, 1.0, 2**14)
@@ -197,7 +202,7 @@ def test_unconverged_solve_names_each_shift_and_its_iterations(monkeypatch):
     )
     assert bracket is not None
     # The bracket holds the radius of the weights exp(t * values - shift).
-    monkeypatch.setattr(kernels, "debruijn_power", original)
+    stop_at(full_run)
     radius = math.exp(pressure(phi, 0.7) - 0.7 * values.max())
     assert float(bracket[1]) < radius < float(bracket[2])
     # The 3-cycle stalls until step 64, then needs more than 16 shifted steps.
@@ -257,19 +262,19 @@ class TestLiveWordGrid:
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=("n3", "n4"))
     @pytest.mark.parametrize("window", [1, 2, 3, 5])
-    def test_matches_word_enumeration(self, graph, window):
+    def test_matches_word_enumeration(self, graph, window, monkeypatch):
         n = len(graph)
         mids = [
             b for b in itertools.product(range(n), repeat=max(window - 2, 0))
             if self._allowed(graph, b)
         ]
         m = len(mids)
-        index, forbidden, succ = _live_word_grid(SubshiftSpec(n, graph), window)
-        assert index.shape == forbidden.shape == (n, n, m)
+        codes, forbidden, succ = _live_word_grid(SubshiftSpec(n, graph), window)
+        # The empty word of windows 1 and 2 has code 0.
+        assert codes.tolist() == [word_index(b, n) for b in mids]
+        assert forbidden.shape == (n, n, m)
         for j, a, (cell, b) in itertools.product(range(n), range(n), enumerate(mids)):
             word = (a,) + b + (j,)
-            # A window-1 potential gives the word (a, j) the value c_j.
-            assert index[j, a, cell] == (j if window == 1 else word_index(word, n))
             assert forbidden[j, a, cell] == (not self._allowed(graph, word))
         if m < n ** max(window - 2, 0):
             assert succ.shape == (n * m,)
@@ -286,6 +291,29 @@ class TestLiveWordGrid:
             # Without trimming the successor is the kernel's transposition.
             got = cell * n + j if succ is None else succ[j * m + cell]
             assert got == expected
+        # The kernel receives the weight of the word a·b·j at [j, a, cell]:
+        # values 1e-3 * code at t = 1 read back as each word's code, and as
+        # c_j = 1e-3 * j for the window-1 word (a, j).
+        received = []
+        original = kernels.debruijn_power
+
+        def capture(weights, n, **kwargs):
+            received.append(weights.copy())
+            return original(weights, n, **kwargs)
+
+        monkeypatch.setattr(kernels, "debruijn_power", capture)
+        values = 1e-3 * np.arange(n**window)
+        pressure_spectral(CylinderPotential(SubshiftSpec(n, graph), window, values), 1.0)
+        (weights,) = received
+        assert weights.shape == (n, n, m)
+        with np.errstate(divide="ignore"):
+            codes_seen = np.rint((np.log(weights) + values.max()) * 1e3)
+        for j, a, (cell, b) in itertools.product(range(n), range(n), enumerate(mids)):
+            word = (a,) + b + (j,)
+            if forbidden[j, a, cell]:
+                assert weights[j, a, cell] == 0.0
+            else:
+                assert codes_seen[j, a, cell] == (j if window == 1 else word_index(word, n))
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=("n3", "n4"))
     @pytest.mark.parametrize("window", [3, 4, 5])
@@ -371,6 +399,69 @@ class TestPeakMemory:
         values = np.random.default_rng(6).uniform(-1.0, 1.0, 2**20)
         phi = CylinderPotential(SubshiftSpec(2, ((1, 1), (1, 0))), 20, values)
         assert self._peak_ratio(pressure_spectral, phi) < 0.25
+
+    def test_window_one_random_graph(self):
+        # The (n, n, 1) weight table is the one n**2-word array; beside it
+        # only the 1-byte forbidden-word mask has n**2 entries.  The
+        # potential holds n values, so the table is n times its bytes.
+        n = 2048
+        rng = np.random.default_rng(8)
+        space = SubshiftSpec(n, rng.random((n, n)) < 0.5)
+        phi = CylinderPotential(space, 1, rng.uniform(-1.0, 1.0, n))
+        assert self._peak_ratio(pressure_spectral, phi) / n < 1.25
+
+
+class TestWordTableBits:
+    """Exact bits of the three ways a word table is laid out.
+
+    The full shift reads every word in place, window 1 broadcasts ``c_j``
+    over the graph's ``(a, j)`` pairs, and the golden mean at window 6
+    keeps 8 of its 16 ``(w-2)``-words.  Any change to how the table is
+    built, masked or scaled moves these bits.
+    """
+
+    @pytest.mark.parametrize(
+        "transition, n, window, seed, pinned",
+        [
+            pytest.param(None, 3, 4, 21, (
+                "0x1.383bb9e557a68p+0", "0x1.332570da3d490p+0", "0x1.ca4e5bdb1f022p+0",
+            ), id="full-n3-w4"),
+            pytest.param(TestLiveWordGrid.GRAPHS[1], 4, 1, 22, (
+                "0x1.625a06b65fe7ep-1", "0x1.0749948889effp+0", "0x1.b165abcea4383p-1",
+            ), id="graph-n4-w1"),
+            pytest.param(((1, 1), (1, 0)), 2, 6, 23, (
+                "0x1.5be729f07c1a6p-1", "0x1.e7a7ce0ae2976p-2", "0x1.90a5ab2b834c2p+0",
+            ), id="golden-w6"),
+        ],
+    )
+    def test_pinned(self, transition, n, window, seed, pinned):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, n**window)
+        phi = CylinderPotential(SubshiftSpec(n, transition), window, values)
+        evaluate = pressure if transition is None else pressure_spectral
+        assert tuple(evaluate(phi, t).hex() for t in (1.0, -0.6, 2.5)) == pinned
+
+
+class TestWordTableCeiling:
+    """A window-1 potential of n values still has an n**2-word table."""
+
+    GRAPH = SubshiftSpec(4, ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)))
+
+    def test_raises_past_the_ceiling(self, monkeypatch):
+        phi = CylinderPotential(self.GRAPH, 1, [0.0, 1.0, 2.0, 3.0])
+        monkeypatch.setattr(pressure_module, "MAX_TABLE_SIZE", 15)
+        with pytest.raises(SizeLimitError, match=r"^word table of 4\*4\*1 words exceeds 15$"):
+            pressure_spectral(phi, 1.0)
+        monkeypatch.setattr(pressure_module, "MAX_TABLE_SIZE", 16)
+        assert math.isfinite(pressure_spectral(phi, 1.0))
+
+    def test_trimmed_grid_counts_its_live_cells(self, monkeypatch):
+        # The golden mean at window 4 keeps 3 of the 4 two-symbol words.
+        phi = CylinderPotential(TestOverflowingWeights.GOLDEN, 4, np.zeros(16))
+        monkeypatch.setattr(pressure_module, "MAX_TABLE_SIZE", 11)
+        with pytest.raises(SizeLimitError, match=r"^word table of 2\*2\*3 words exceeds 11$"):
+            pressure_spectral(phi, 1.0)
+        monkeypatch.setattr(pressure_module, "MAX_TABLE_SIZE", 12)
+        assert math.isfinite(pressure_spectral(phi, 1.0))
 
 
 class TestPressureProperties:
@@ -615,6 +706,18 @@ class TestExactOracles:
         assert max(kernel_steps) <= _ORACLE_MAX_ITERATIONS
 
 
+@pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                   reason="weights that underflow to 0 split the word graph (ROADMAP item 2)")
+def test_underflowed_weights_split_the_word_graph(monkeypatch):
+    # exp(-1000) underflows to 0, which leaves two loops of weights 1 and
+    # exp(-0.5), so the pressure is log 1 = 0; the smaller loop's ratio keeps
+    # min r at exp(-0.5) and the bracket never closes.  The full step budget
+    # fails the same way after 100,000 steps.
+    monkeypatch.setattr(kernels, "_MAX_ITER", 400)
+    phi = CylinderPotential(SubshiftSpec(2), 2, [0.0, -1000.0, -1000.0, -0.5])
+    assert abs(pressure(phi, 1.0)) <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bench_shaped_inputs_converge_unshifted(kernel_steps, kernel_sigmas, seed):
     # Window-14 potentials with values uniform in [0, 0.5] at t = 1, on the
@@ -717,6 +820,17 @@ class TestQValues:
             q_values([], 1.0)
         with pytest.raises(DomainError):
             q_values([0.0, np.nan], 1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_is_domain_error(self, t):
+        with pytest.raises(DomainError, match="must be finite"):
+            q_values([0.0, 1.0], t)
+
+    def test_overflowing_sums_fail_the_audit(self):
+        # t * z overflows to inf and leaves nan in every sum; a nan residual
+        # must not pass the identity check.
+        with pytest.raises(NumericError, match="pair-sum identity violated"):
+            q_values([0.0, 1e300], 1e10)
 
     def test_large_input_satisfies_identity(self):
         # 10**5 values: the pair sum would be a 10**10-entry matrix.
